@@ -36,7 +36,6 @@ from coulombflow.rearrangement import (
 from coulombflow.torus_field import (
     ScalarField,
     TorusGrid,
-    VectorField,
     coulomb_field,
     coulomb_potential,
     hminus1_norm,
@@ -58,7 +57,6 @@ __all__ = [
     "TorusGrid",
     "Trajectory",
     "TwoVortexState",
-    "VectorField",
     "coulomb_field",
     "coulomb_potential",
     "hminus1_norm",

@@ -19,7 +19,7 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the key and the constraint."""
 
 
-_SECTIONS = {"grid", "solver", "initial_condition", "outputs", "verify", "fronts", "seed"}
+_SECTIONS = {"grid", "solver", "initial_condition", "outputs", "verify", "fronts"}
 _GRID_KEYS = {"dim", "n"}
 _SOLVER_KEYS = {
     "m",
@@ -56,7 +56,6 @@ class ExperimentConfig:
     outputs: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     fronts: dict = field(default_factory=dict)
-    seed: int = 0
     raw: dict = field(default_factory=dict)
 
 
@@ -89,8 +88,6 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown section {key!r}; allowed: {sorted(_SECTIONS)}")
 
     cfg = ExperimentConfig(raw=raw)
-    cfg.seed = raw.get("seed", 0)
-    _check(isinstance(cfg.seed, int), "seed must be an integer")
 
     grid = raw.get("grid", {})
     _require_keys("grid", grid, _GRID_KEYS)

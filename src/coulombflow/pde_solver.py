@@ -21,7 +21,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from coulombflow.torus_field import ScalarField, TorusGrid, _ksq, _wavenumbers, mean
+from coulombflow.torus_field import (
+    ScalarField,
+    TorusGrid,
+    coulomb_drift,
+    mean,
+    mode_energy,
+    spectral_symbols,
+)
 
 __all__ = [
     "SolverConfig",
@@ -117,23 +124,6 @@ class Trajectory:
         return np.array([t for t, _ in self.snapshots])
 
 
-def _face_velocities(grid: TorusGrid, uhat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Drift at the +side face of each cell, per axis, from the spectrum of u."""
-    ksq = _ksq(grid)
-    inv = np.zeros_like(ksq)
-    nz = ksq > 0
-    inv[nz] = 1.0 / (4.0 * np.pi**2 * ksq[nz])
-    phihat = uhat * inv
-    ks = _wavenumbers(grid)
-    nyq = -grid.n // 2
-    out = []
-    for axis in range(grid.dim):
-        k = ks[axis]
-        mult = np.where(k == nyq, 0.0, 2j * np.pi * k) * np.exp(1j * np.pi * k * grid.h)
-        out.append(np.fft.ifftn(phihat * mult).real)
-    return tuple(out)
-
-
 def _upwind_face_values(values: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     """Donor-cell value at each +side face: the neighbor when w > 0, else self.
 
@@ -170,11 +160,18 @@ def _laplacian(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _advective_speed_scale(values: np.ndarray, m: float) -> float:
-    """max(m, 1) * u_max^(m-1), the flux-derivative scale entering the CFL."""
+    """Lipschitz constant of u -> u^m over the current values, entering the CFL.
+
+    m * u_max^(m-1) for m >= 1 and m * u_min^(m-1) for m < 1, where the
+    mobility is steepest at the smallest value (positive under the floor).
+    """
+    if m < 1.0:
+        umin = float(np.min(values))
+        return m * umin ** (m - 1.0) if umin > 0.0 else np.inf
     umax = float(np.max(values))
     if umax <= 0.0:
         return 0.0 if m > 1 else np.inf
-    return max(m, 1.0) * umax ** (m - 1.0)
+    return m * umax ** (m - 1.0)
 
 
 def cfl_dt(
@@ -187,7 +184,7 @@ def cfl_dt(
     grid = u.grid
     eps = cfg.validate(grid)
     if faces is None:
-        faces = _face_velocities(grid, np.fft.fftn(u.values))
+        faces = coulomb_drift(grid, np.fft.fftn(u.values))
     vmax = max(float(np.max(np.abs(w))) for w in faces)
     speed = _advective_speed_scale(u.values, cfg.m)
     dt = np.inf
@@ -234,7 +231,7 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
         raise SolverError("negative input density")
     if float(np.max(u.values)) == float(np.min(u.values)):
         return u  # constants are exact steady states for any dt
-    faces = _face_velocities(grid, np.fft.fftn(u.values))
+    faces = coulomb_drift(grid, np.fft.fftn(u.values))
     limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
@@ -246,9 +243,8 @@ def mollify(u: ScalarField, width: float) -> ScalarField:
     if width <= 0:
         return u
     grid = u.grid
-    uhat = np.fft.fftn(u.values)
-    damp = np.exp(-2.0 * np.pi**2 * width**2 * _ksq(grid))
-    out = np.fft.ifftn(uhat * damp).real
+    damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(grid).ksq)
+    out = np.fft.ifftn(np.fft.fftn(u.values) * damp).real
     return ScalarField(grid, np.maximum(out, 0.0))
 
 
@@ -305,7 +301,7 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
 
     rows: dict[str, list] = {k: [] for k in ("t", "mass", "min", "max", "l1", "l2", "linf", "energy", "diss", "gsup")}
 
-    def record(tnow, vals, uhat, faces):
+    def record(tnow, vals, uhat):
         rows["t"].append(tnow)
         rows["mass"].append(float(np.sum(vals)) * cm)
         rows["min"].append(float(np.min(vals)))
@@ -313,10 +309,7 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
         rows["l1"].append(float(np.sum(np.abs(vals))) * cm)
         rows["l2"].append(float(np.sqrt(np.sum(vals**2) * cm)))
         rows["linf"].append(float(np.max(np.abs(vals))))
-        ksq = _ksq(grid)
-        nz = ksq > 0
-        mode_energy = np.abs(uhat[nz] * cm) ** 2 / (4.0 * np.pi**2 * ksq[nz])
-        rows["energy"].append(0.5 * float(np.sum(mode_energy)))
+        rows["energy"].append(0.5 * mode_energy(grid, uhat))
         rows["diss"].append(cum_diss)
         rows["gsup"].append(_grad_sup(grid, vals))
 
@@ -324,12 +317,12 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
     step_idx = 0
     while True:
         uhat = np.fft.fftn(values)
-        faces = _face_velocities(grid, uhat)
+        faces = coulomb_drift(grid, uhat)
         if step_idx % cfg.record_every == 0:
-            record(t, values, uhat, faces)
+            record(t, values, uhat)
         if t >= cfg.t_end - 1e-13:
             if rows["t"][-1] < t - 1e-15:
-                record(t, values, uhat, faces)
+                record(t, values, uhat)
             break
         gap = outputs[out_idx] - t
         dt = cfl_dt(
@@ -472,7 +465,7 @@ def entropy_residual(
             sgn = np.sign(u - kappa)
             q = sgn * (_mobility(u, m) - km)
             z = -sgn * km * (u - ubar)
-            faces = _face_velocities(grid, np.fft.fftn(u))
+            faces = coulomb_drift(grid, np.fft.fftn(u))
             for b, _ in enumerate(bank):
                 p_now = phi_vals[b][n]
                 p_next = phi_vals[b][n + 1]

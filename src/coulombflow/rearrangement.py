@@ -19,7 +19,6 @@ from coulombflow.torus_field import ScalarField
 
 __all__ = [
     "RearrangedProfile",
-    "SupportSeries",
     "rearrange",
     "support_measure",
     "waiting_time_indicator",
@@ -56,15 +55,6 @@ class RearrangedProfile:
         return 0.5 * (self.k[:-1] + self.k[1:])
 
 
-@dataclass(frozen=True)
-class SupportSeries:
-    """Measure of the superlevel set {u > theta} along a trajectory."""
-
-    times: np.ndarray
-    values: np.ndarray
-    theta: float
-
-
 def rearrange(u: ScalarField) -> RearrangedProfile:
     """Decreasing rearrangement of a nonnegative field."""
     values = u.values.ravel()
@@ -82,14 +72,6 @@ def rearrange(u: ScalarField) -> RearrangedProfile:
 def support_measure(u: ScalarField, theta: float) -> float:
     """Cell measure times the number of cells strictly above theta."""
     return float(np.count_nonzero(u.values > theta)) * u.grid.cell_measure
-
-
-def support_series(
-    snapshots: Sequence[tuple[float, ScalarField]], theta: float
-) -> SupportSeries:
-    times = np.array([t for t, _ in snapshots])
-    vals = np.array([support_measure(f, theta) for _, f in snapshots])
-    return SupportSeries(times=times, values=vals, theta=theta)
 
 
 def divergence_growth_threshold(m: float) -> float:

@@ -5,10 +5,15 @@ potential solves -Lap(phi) = u - mean(u) with zero mean, which is diagonal in
 Fourier space with symbol 1/(4 pi^2 |k|^2) on integer wavenumbers k != 0.
 Face values of the drift field are obtained by a half-cell phase shift in
 spectral space so that the conservative divergence keeps its accuracy.
+
+This module owns every Fourier symbol: spectral_symbols(grid) builds them
+once per grid, and the potential, the drift, the Laplacian, the energy and
+the solver's mollifier all read them from there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +21,11 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "ScalarField",
-    "VectorField",
+    "SpectralSymbols",
     "make_grid",
+    "spectral_symbols",
+    "coulomb_drift",
+    "mode_energy",
     "coulomb_potential",
     "coulomb_field",
     "spectral_laplacian",
@@ -81,26 +89,6 @@ class ScalarField:
         return ScalarField(self.grid, values)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """One component array per axis; cell- or face-centered as declared."""
-
-    grid: TorusGrid
-    components: tuple[np.ndarray, ...]
-    staggering: str = "cell"
-
-    def __post_init__(self):
-        if self.staggering not in ("cell", "face"):
-            raise ValueError(f"unknown staggering {self.staggering!r}")
-        if len(self.components) != self.grid.dim:
-            raise ValueError("one component per axis required")
-        comps = tuple(np.asarray(c, dtype=float) for c in self.components)
-        for c in comps:
-            if c.shape != self.grid.shape:
-                raise ValueError("component shape does not match grid")
-        object.__setattr__(self, "components", comps)
-
-
 def make_grid(dim: int, n: int) -> TorusGrid:
     """Build a uniform torus grid; rejects dim not in {1, 2} and n < 8."""
     if dim not in (1, 2):
@@ -110,69 +98,87 @@ def make_grid(dim: int, n: int) -> TorusGrid:
     return TorusGrid(dim=dim, n=int(n))
 
 
-def _wavenumbers(grid: TorusGrid) -> tuple[np.ndarray, ...]:
-    """Integer wavenumbers along each axis, broadcast to the grid shape."""
-    k = np.fft.fftfreq(grid.n, d=grid.h)  # integer-valued floats
-    if grid.dim == 1:
-        return (k,)
-    return (k[:, None], k[None, :])
+@dataclass(frozen=True)
+class SpectralSymbols:
+    """Fourier multipliers of one grid, on the layout of np.fft.fftn.
+
+    Per-axis arrays broadcast against the grid shape.  The derivative
+    multipliers 2 pi i k zero the Nyquist mode to keep the odd derivative of
+    real data real and symmetric; the face ones add the half-cell phase shift
+    exp(i pi k h) that samples at the face on the positive side of each cell.
+    """
+
+    ksq: np.ndarray
+    nonzero: np.ndarray
+    lap_denom: np.ndarray  # 4 pi^2 |k|^2 on the nonzero modes
+    inv_lap: np.ndarray  # 1 / (4 pi^2 |k|^2), zero on the mean mode
+    cell_diff: tuple[np.ndarray, ...]
+    face_diff: tuple[np.ndarray, ...]
 
 
-def _ksq(grid: TorusGrid) -> np.ndarray:
-    ks = _wavenumbers(grid)
-    out = ks[0] ** 2
+@functools.lru_cache(maxsize=8)
+def spectral_symbols(grid: TorusGrid) -> SpectralSymbols:
+    """The grid's Fourier symbols, built once per grid and shared read-only."""
+    k1 = np.fft.fftfreq(grid.n, d=grid.h)  # integer-valued floats
+    ks = (k1,) if grid.dim == 1 else (k1[:, None], k1[None, :])
+    ksq = ks[0] ** 2
     for k in ks[1:]:
-        out = out + k**2
-    return out
+        ksq = ksq + k**2
+    nonzero = ksq > 0
+    lap_denom = 4.0 * np.pi**2 * ksq[nonzero]
+    inv_lap = np.zeros_like(ksq)
+    inv_lap[nonzero] = 1.0 / lap_denom
+    nyq = -grid.n // 2
+    cell_diff = tuple(np.where(k == nyq, 0.0, 2j * np.pi * k) for k in ks)
+    face_diff = tuple(
+        d * np.exp(1j * np.pi * k * grid.h) for d, k in zip(cell_diff, ks)
+    )
+    for a in (ksq, nonzero, lap_denom, inv_lap, *cell_diff, *face_diff):
+        a.flags.writeable = False
+    return SpectralSymbols(ksq, nonzero, lap_denom, inv_lap, cell_diff, face_diff)
+
+
+def coulomb_drift(
+    grid: TorusGrid, uhat: np.ndarray, staggering: str = "face"
+) -> tuple[np.ndarray, ...]:
+    """Gradient of the Coulomb potential per axis, from uhat = fftn(u)."""
+    if staggering not in ("cell", "face"):
+        raise ValueError(f"unknown staggering {staggering!r}")
+    sym = spectral_symbols(grid)
+    mults = sym.face_diff if staggering == "face" else sym.cell_diff
+    phihat = uhat * sym.inv_lap
+    return tuple(np.fft.ifftn(phihat * d).real for d in mults)
+
+
+def mode_energy(grid: TorusGrid, uhat: np.ndarray) -> float:
+    """Squared H^-1 norm from uhat = fftn(u).
+
+    The sum over nonzero modes of |h^d uhat(k)|^2 / (4 pi^2 |k|^2).
+    """
+    sym = spectral_symbols(grid)
+    weighted = np.abs(uhat[sym.nonzero] * grid.cell_measure) ** 2 / sym.lap_denom
+    return float(np.sum(weighted))
 
 
 def coulomb_potential(u: ScalarField) -> ScalarField:
     """Zero-mean solution of -Lap(phi) = u - mean(u), computed spectrally."""
-    grid = u.grid
-    uhat = np.fft.fftn(u.values)
-    ksq = _ksq(grid)
-    mult = np.zeros_like(ksq)
-    nonzero = ksq > 0
-    mult[nonzero] = 1.0 / (4.0 * np.pi**2 * ksq[nonzero])
-    phi = np.fft.ifftn(uhat * mult).real
-    return ScalarField(grid, phi)
+    inv_lap = spectral_symbols(u.grid).inv_lap
+    return ScalarField(u.grid, np.fft.ifftn(np.fft.fftn(u.values) * inv_lap).real)
 
 
-def coulomb_field(u: ScalarField, staggering: str = "cell") -> VectorField:
+def coulomb_field(u: ScalarField, staggering: str = "cell") -> tuple[np.ndarray, ...]:
     """Gradient of the Coulomb potential, cell-centered or at +half-cell faces.
 
-    For staggering="face", component a is sampled at the face on the positive
-    side of each cell along axis a (half-cell phase shift in spectral space).
-    The Nyquist mode is zeroed in the differentiated direction to keep the
-    odd-derivative of real data real and symmetric.
+    One array per axis.  For staggering="face", component a is sampled at the
+    face on the positive side of each cell along axis a.
     """
-    if staggering not in ("cell", "face"):
-        raise ValueError(f"unknown staggering {staggering!r}")
-    grid = u.grid
-    uhat = np.fft.fftn(u.values)
-    ksq = _ksq(grid)
-    inv = np.zeros_like(ksq)
-    nonzero = ksq > 0
-    inv[nonzero] = 1.0 / (4.0 * np.pi**2 * ksq[nonzero])
-    phihat = uhat * inv
-
-    ks = _wavenumbers(grid)
-    nyq = -grid.n // 2
-    comps = []
-    for axis in range(grid.dim):
-        k = ks[axis]
-        dmult = 2j * np.pi * k
-        dmult = np.where(k == nyq, 0.0, dmult)
-        if staggering == "face":
-            dmult = dmult * np.exp(1j * np.pi * k * grid.h)
-        comps.append(np.fft.ifftn(phihat * dmult).real)
-    return VectorField(grid, tuple(comps), staggering=staggering)
+    return coulomb_drift(u.grid, np.fft.fftn(u.values), staggering)
 
 
 def spectral_laplacian(u: ScalarField) -> ScalarField:
     """Spectral Laplacian, used for round-trip checks of the Coulomb solve."""
-    uhat = np.fft.fftn(u.values)
-    out = np.fft.ifftn(uhat * (-4.0 * np.pi**2 * _ksq(u.grid))).real
+    ksq = spectral_symbols(u.grid).ksq
+    out = np.fft.ifftn(np.fft.fftn(u.values) * (-4.0 * np.pi**2 * ksq)).real
     return ScalarField(u.grid, out)
 
 
@@ -190,20 +196,9 @@ def mean(u: ScalarField) -> float:
     return float(np.sum(u.values) * u.grid.cell_measure)
 
 
-def _mode_energies(u: ScalarField) -> float:
-    """Sum over nonzero modes of |u_hat(k)|^2 / (4 pi^2 |k|^2)."""
-    grid = u.grid
-    uhat = np.fft.fftn(u.values) * grid.cell_measure
-    ksq = _ksq(grid)
-    nonzero = ksq > 0
-    return float(
-        np.sum(np.abs(uhat[nonzero]) ** 2 / (4.0 * np.pi**2 * ksq[nonzero]))
-    )
-
-
 def interaction_energy(u: ScalarField) -> float:
     """Quadratic Coulomb energy of the mean-free part of u."""
-    return 0.5 * _mode_energies(u)
+    return 0.5 * mode_energy(u.grid, np.fft.fftn(u.values))
 
 
 def hminus1_norm(u: ScalarField) -> float:
@@ -213,4 +208,4 @@ def hminus1_norm(u: ScalarField) -> float:
     |u_hat(k)|^2 / (4 pi^2 |k|^2), so hminus1_norm(u)^2 == 2 * interaction_energy(u)
     holds exactly.
     """
-    return float(np.sqrt(_mode_energies(u)))
+    return float(np.sqrt(mode_energy(u.grid, np.fft.fftn(u.values))))

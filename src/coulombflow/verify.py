@@ -26,7 +26,7 @@ from coulombflow.barrier_ode import (
     tau_half,
     upper_regularization,
 )
-from coulombflow.pde_solver import Trajectory, dissipation_check
+from coulombflow.pde_solver import Trajectory, _grad_sup, dissipation_check
 from coulombflow.rearrangement import (
     RearrangedProfile,
     subsolution_residual,
@@ -234,7 +234,7 @@ def waiting_window(u0: ScalarField, m: float, kappa_w: float = 20.0) -> float:
 
     Shape of the local well-posedness bound: inverse of
     [ (c^(m-2) + |u0|_inf^(m-2)) |u0|_inf + c^(m-1) + |u0|_inf^(m-1) ] times
-    the finite-difference gradient sup-norm, with a one-time calibrated
+    the sup-norm of the centred-difference |grad u0|, with a one-time calibrated
     prefactor kappa_w (frozen against the measured support-stasis plateau of
     the Lipschitz reference datum at n = 512).
     """
@@ -243,12 +243,7 @@ def waiting_window(u0: ScalarField, m: float, kappa_w: float = 20.0) -> float:
     c = float(np.min(vals))
     if sup <= 0:
         return math.inf
-    grad = 0.0
-    for axis in range(u0.grid.dim):
-        g = (np.roll(vals, -1, axis=axis) - np.roll(vals, 1, axis=axis)) / (
-            2.0 * u0.grid.h
-        )
-        grad = max(grad, float(np.max(np.abs(g))))
+    grad = _grad_sup(u0.grid, vals)
     if grad == 0.0:
         return math.inf
     cm2 = c ** (m - 2.0) if c > 0 else (0.0 if m > 2 else math.inf)

@@ -12,7 +12,7 @@ from coulombflow.pde_solver import (
     run,
     step,
 )
-from coulombflow.torus_field import ScalarField, make_grid, mean
+from coulombflow.torus_field import ScalarField, interaction_energy, make_grid, mean
 
 
 def cosine(n, base=1.0, amp=0.5):
@@ -169,6 +169,28 @@ class TestRun:
         assert np.max(np.abs(obs.mass - obs.mass[0])) <= 1e-11 * obs.mass[0]
         assert np.max(np.diff(obs.max)) <= 1e-9
         assert np.max(np.diff(obs.lp[2])) <= 1e-8
+
+    @pytest.mark.parametrize("eps", ["auto", 0.0])
+    @pytest.mark.parametrize("floor", [1e-2, 1e-4])
+    def test_fast_diffusion_cfl_uses_min_slope(self, eps, floor):
+        # u^m with m < 1 is steepest at the smallest value, so the advective
+        # bound must use m * u_min^(m-1); u_max^(m-1) lets the floor go negative
+        g = make_grid(1, 256)
+        x = g.axis_coordinates()
+        u0 = ScalarField(g, np.maximum(np.where((x > 0.25) & (x < 0.75), 4.0, 0.0), floor))
+        cfg = SolverConfig(m=0.3, epsilon=eps, t_end=0.1, floor_m_lt_1=floor)
+        obs = run(u0, cfg).observables
+        assert np.max(np.abs(obs.mass - obs.mass[0])) <= 1e-11 * obs.mass[0]
+        assert np.all(np.diff(obs.max) <= 0.0)
+        assert np.all(np.diff(obs.min) >= 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_recorded_energy_is_interaction_energy(self, dim):
+        g = make_grid(dim, 32)
+        x = g.coordinates()
+        u0 = ScalarField(g, 1 + 0.3 * np.cos(2 * np.pi * x[0]) + 0.2 * np.sin(2 * np.pi * x[-1]))
+        traj = run(u0, SolverConfig(m=2.0, t_end=0.01, output_times=[0.01]))
+        assert traj.observables.energy[0] == interaction_energy(u0)
 
     def test_determinism(self):
         cfg = SolverConfig(m=2.0, t_end=0.2, output_times=[0.2])

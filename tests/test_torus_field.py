@@ -99,14 +99,14 @@ class TestCoulombPotential:
 class TestCoulombField:
     def test_constant_gives_zero(self):
         v = coulomb_field(field(64, np.full(64, 2.0)))
-        assert np.max(np.abs(v.components[0])) < 1e-14
+        assert np.max(np.abs(v[0])) < 1e-14
 
     def test_single_mode_gradient(self):
         g = make_grid(1, 64)
         x = g.axis_coordinates()
         u = ScalarField(g, 1 + np.cos(2 * np.pi * x))
         expected = -np.sin(2 * np.pi * x) / (2 * np.pi)
-        assert np.max(np.abs(coulomb_field(u).components[0] - expected)) < 1e-14
+        assert np.max(np.abs(coulomb_field(u)[0] - expected)) < 1e-14
 
     def test_face_staggering_shifts_half_cell(self):
         g = make_grid(1, 64)
@@ -115,14 +115,34 @@ class TestCoulombField:
         xf = x + g.h / 2
         expected = -np.sin(2 * np.pi * xf) / (2 * np.pi)
         v = coulomb_field(u, staggering="face")
-        assert np.max(np.abs(v.components[0] - expected)) < 1e-14
+        assert np.max(np.abs(v[0] - expected)) < 1e-14
+
+    def test_2d_face_staggering_shifts_half_cell_per_axis(self):
+        # u = 1 + cos(2 pi x1) + 0.5 cos(2 pi (x1 + 2 x2)): phi = G * u is
+        # 1/(4 pi^2) cos(2 pi x1) + 0.5/(20 pi^2) cos(2 pi (x1 + 2 x2)), and
+        # component a is sampled at x + h/2 e_a
+        g = make_grid(2, 32)
+        x1, x2 = g.coordinates()
+        u = ScalarField(
+            g, 1 + np.cos(2 * np.pi * x1) + 0.5 * np.cos(2 * np.pi * (x1 + 2 * x2))
+        )
+
+        def grad_phi(y1, y2):
+            s = np.sin(2 * np.pi * (y1 + 2 * y2)) / (20 * np.pi)
+            return -np.sin(2 * np.pi * y1) / (2 * np.pi) - s, -2 * s
+
+        v = coulomb_field(u, staggering="face")
+        expected1 = grad_phi(x1 + g.h / 2, x2)[0]
+        expected2 = grad_phi(x1, x2 + g.h / 2)[1]
+        assert np.max(np.abs(v[0] - expected1)) < 1e-14
+        assert np.max(np.abs(v[1] - expected2)) < 1e-14
 
     def test_2d_no_cross_dependence(self):
         g = make_grid(2, 32)
         x1, _ = g.coordinates()
         u = ScalarField(g, 1 + np.cos(2 * np.pi * x1))
         v = coulomb_field(u)
-        assert np.max(np.abs(v.components[1])) < 1e-14
+        assert np.max(np.abs(v[1])) < 1e-14
 
     def test_rejects_unknown_staggering(self):
         with pytest.raises(ValueError):
