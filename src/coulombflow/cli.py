@@ -3,8 +3,8 @@
 Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 (analytic front ODE systems), verify (named check suites, JSON report),
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
-verification failure, 2 usage or configuration error.  COULOMBFLOW_THREADS
-caps suite parallelism (default 1, bit-deterministic).
+verification failure, 2 usage or configuration error.  `verify --jobs N`
+runs suite tasks on N threads (default 1); reports are identical for any N.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ from coulombflow.torus_field import make_grid
 from coulombflow.verify import emit_report
 
 __all__ = ["main"]
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("COULOMBFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _ensure_outdir(path: str) -> None:
@@ -240,11 +233,10 @@ def cmd_verify(args) -> int:
     if not suite:
         raise ConfigError("verify.suite is required")
     n = cfg.verify.get("n", 128)
-    jobs = args.jobs or _default_jobs()
     out_dir = args.out or cfg.outputs.get("dir", "out")
     _ensure_outdir(out_dir)
     try:
-        results, warnings = run_suite(suite, n=n, jobs=jobs)
+        results, warnings = run_suite(suite, n=n, jobs=args.jobs)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     code = emit_report(
@@ -302,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--jobs", type=int, default=None)
+    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("plot", help="CSV columns to SVG line chart")

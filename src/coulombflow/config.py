@@ -112,6 +112,11 @@ def load_config(path) -> ExperimentConfig:
         )
         cfl = solver.get("cfl", 0.45)
         _check(0 < cfl <= 1, f"solver.cfl must lie in (0, 1], got {cfl}")
+        if eps == "auto" or eps > 0:
+            _check(
+                cfl <= 0.5,
+                f"solver.cfl must be <= 0.5 when solver.epsilon is 'auto' or > 0, got {cfl}",
+            )
         t_end = solver.get("t_end", 1.0)
         _check(t_end > 0, f"solver.t_end must be > 0, got {t_end}")
         times = solver.get("output_times", [])

@@ -35,6 +35,8 @@ __all__ = [
     "smooth_samples",
     "viscosity_residual",
     "comparison_check",
+    "m1_front_errors",
+    "envelope_margins",
     "calibrate_front_constants",
     "FRONT_BOUND_CONSTANTS",
 ]
@@ -536,6 +538,66 @@ def comparison_check(
     if worst == -math.inf:
         raise ValueError("no profiles inside the comparison window")
     return worst
+
+
+def m1_front_errors(t_single: float, t_two: float) -> tuple[float, float]:
+    """Deviation of the integrated m = 1 fronts from their exact exponentials.
+
+    At m = 1 the single vortex from (0.25, 0.75) moves as s1 = 0.25 e^-t,
+    s2 = 1 - 0.25 e^-t, and the inner fronts of the two vortex from
+    (0.1, 0.3, 0.7, 0.9) with alpha = 0.5 as s2,3 = 0.5 -+ 0.2 e^-t.  Each
+    error is the max, over times every 0.05 up to its horizon, of the summed
+    absolute deviations.
+    """
+
+    def samples(traj, t_end):
+        return ((t, traj.interpolate(t)) for t in np.linspace(0.0, t_end, round(t_end / 0.05) + 1))
+
+    single = integrate_single_vortex(SingleVortexState(0.25, 0.75, 1.0, 1.0), t_single)
+    two = integrate_two_vortex(TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 1.0), t_two)
+    err_single = max(
+        abs(s[0] - 0.25 * math.exp(-t)) + abs(s[1] - (1 - 0.25 * math.exp(-t)))
+        for t, s in samples(single, t_single)
+    )
+    err_two = max(
+        abs(s[1] - (0.5 - 0.2 * math.exp(-t))) + abs(s[2] - (0.5 + 0.2 * math.exp(-t)))
+        for t, s in samples(two, t_two)
+    )
+    return float(err_single), float(err_two)
+
+
+def envelope_margins(traj: FrontTrajectory) -> dict[str, float]:
+    """Largest violation of each t^(1/m) envelope of the supersolution fronts.
+
+    The retreat, advance, spread and gap bounds stated in
+    calibrate_front_constants, with FRONT_BOUND_CONSTANTS widened by 5
+    percent, on 60 log-spaced times from 1e-4 to the end of the integration
+    (retreat on t <= t_star, advance and gap on t <= min(t_star, t_upper)).
+    A value <= 0 means its bound holds.
+    """
+    state = traj.state0
+    m = state.m
+    consts = FRONT_BOUND_CONSTANTS[m]
+    t_hi = min(traj.t_end, traj.halted_at or math.inf)
+    ts = np.geomspace(1e-4, t_hi, 60)
+    pos = np.array([traj.interpolate(t) for t in ts])
+    s2, s3 = pos[:, 0], pos[:, 1]
+    scale = state.ubar * ts ** (1.0 / m)
+    afac = (1.0 - state.alpha) ** ((m - 1.0) / m)
+    star = ts <= traj.t_star
+    both = ts <= min(traj.t_star, traj.t_upper)
+    return {
+        "retreat": float(
+            np.max((state.s2 - s2[star]) - 1.05 * consts["c_retreat"] * scale[star])
+        ),
+        "advance": float(
+            np.max((state.s3 + 0.95 * consts["c_advance"] * afac * scale[both]) - s3[both])
+        ),
+        "spread": float(np.max(s3 - (state.s3 + 1.05 * consts["c_spread"] * scale))),
+        "gap": float(
+            np.max(0.95 * consts["c_gap"] * (1 - state.alpha) * scale[both] - (s3[both] - s2[both]))
+        ),
+    }
 
 
 # --- one-time calibration of the front-tracking constants --------------------

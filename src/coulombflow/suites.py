@@ -1,5 +1,10 @@
 """Named verification suites run by the command-line `verify` entry point.
 
+This module is the one place that builds each verification scenario: the
+cosine run, the block run, the m = 4 waiting-time runs, the weak-strong
+pair, the envelope fronts and COMPARISON_STATE are shared by the suites
+below and by the acceptance gate in tests/, so a scenario is declared once.
+
 A suite is a list of independent tasks, each producing CheckResults from
 fresh simulations or front integrations; tasks may run concurrently (they
 share nothing) and results are reported in task order regardless of the
@@ -16,15 +21,16 @@ import numpy as np
 
 from coulombflow.hj_fronts import (
     FRONT_BOUND_CONSTANTS,
+    FrontTrajectory,
     SingleVortexState,
     SupersolutionState,
-    TwoVortexState,
     comparison_check,
+    envelope_margins,
     integrate_single_vortex,
     integrate_supersolution,
-    integrate_two_vortex,
     k_evaluator,
     kink_locator,
+    m1_front_errors,
     smooth_samples,
     viscosity_residual,
 )
@@ -39,38 +45,111 @@ from coulombflow.verify import (
     check_conservation_and_monotonicity,
     check_subsolution,
     check_waiting_time,
-    fit_stability_constant,
+    check_weak_strong,
 )
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = [
+    "SUITES",
+    "run_suite",
+    "cosine_run",
+    "block_run",
+    "waiting_time_runs",
+    "weak_strong_runs",
+    "envelope_front",
+    "COMPARISON_STATE",
+]
+
+# The dominating profile the block run must stay below up to its hitting time.
+COMPARISON_STATE = SupersolutionState(C=0.25, alpha=0.8, s2=0.35, s3=0.48, ubar=1.0, m=2.0)
 
 
-def _cosine_run(n: int, m: float, t_end: float = 5.0) -> Trajectory:
+def cosine_run(n: int, m: float, t_end: float = 5.0, n_out: int = 50) -> Trajectory:
+    """u0 = 1 + 0.5 cos(2 pi x) at d = 1, eps = h, n_out equally spaced snapshots.
+
+    The decay and barrier scenario; m < 1 runs carry the floor 0.25.
+    """
     grid = make_grid(1, n)
     u0 = build_initial_condition(grid, {"kind": "cosine", "base": 1.0, "amplitudes": [0.5]})
     cfg = SolverConfig(
         m=m,
         t_end=t_end,
-        output_times=np.linspace(t_end / 50, t_end, 50),
+        output_times=np.linspace(t_end / n_out, t_end, n_out),
         floor_m_lt_1=0.25 if m < 1 else 0.0,
     )
     return run(u0, cfg)
 
 
-def _block_run(n: int, m: float, t_end: float, eps: float = 0.0) -> Trajectory:
+def block_run(n: int, m: float, t_end: float, output_times=None) -> Trajectory:
+    """Indicator block of height 2 on [0.25, 0.75] at d = 1 and zero viscosity.
+
+    The front-tracking and comparison scenario; 25 equally spaced snapshots
+    unless output_times is given.
+    """
     grid = make_grid(1, n)
     u0 = build_initial_condition(grid, {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]})
-    cfg = SolverConfig(
-        m=m,
-        epsilon=eps,
-        t_end=t_end,
-        output_times=np.linspace(t_end / 25, t_end, 25),
+    if output_times is None:
+        output_times = np.linspace(t_end / 25, t_end, 25)
+    return run(u0, SolverConfig(m=m, epsilon=0.0, t_end=t_end, output_times=output_times))
+
+
+def waiting_time_runs(n: int) -> dict:
+    """m = 4 at d = 1 and zero viscosity: runs from jump and Lipschitz-edge data.
+
+    Also holds the critical power edge c (s0 - s)^(1/(m-1)), which is only
+    classified, never run, and m itself.
+    """
+    m = 4.0
+    grid = make_grid(1, n)
+    jump = build_initial_condition(grid, {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]})
+    lip = build_initial_condition(
+        grid, {"kind": "power_edge", "c": 4.0, "s0": 0.5, "exponent": 1.0}
     )
-    return run(u0, cfg)
+    crit = build_initial_condition(
+        grid,
+        {"kind": "power_edge", "c": (1 / (m - 1) + 1) / 0.5, "s0": 0.5, "exponent": 1 / (m - 1)},
+    )
+
+    def zero_viscosity(t_end):
+        return SolverConfig(
+            m=m, epsilon=0.0, t_end=t_end, output_times=np.linspace(t_end / 25, t_end, 25)
+        )
+
+    return {
+        "jump": run(jump, zero_viscosity(0.25)),
+        "lipschitz": run(lip, zero_viscosity(0.05)),
+        "critical_u0": crit,
+        "m": m,
+    }
+
+
+def weak_strong_runs(n: int) -> tuple[Trajectory, dict[float, Trajectory]]:
+    """m = 1 run from 1 + 0.5 cos(2 pi x), and runs from it plus delta (pi / 2) sin(2 pi x).
+
+    Returns the base run and a dict delta -> perturbed run, for delta = 1e-2
+    and 5e-3; all runs share their snapshot times.
+    """
+    grid = make_grid(1, n)
+    x = grid.axis_coordinates()
+    base = 1 + 0.5 * np.cos(2 * np.pi * x)
+    cfg = SolverConfig(m=1.0, t_end=1.0, output_times=np.linspace(0.05, 1.0, 20))
+    traj_u = run(ScalarField(grid, base), cfg)
+    return traj_u, {
+        delta: run(ScalarField(grid, base + delta * (np.pi / 2) * np.sin(2 * np.pi * x)), cfg)
+        for delta in (1e-2, 5e-3)
+    }
+
+
+def envelope_front(m: float) -> FrontTrajectory:
+    """Supersolution fronts from a nearly collapsed gap [0.4, 0.4003], to t = 1.5.
+
+    The regime the t^(1/m) envelopes of FRONT_BOUND_CONSTANTS describe.
+    """
+    state = SupersolutionState(C=0.2, alpha=0.85, s2=0.4, s3=0.4003, ubar=1.0, m=m)
+    return integrate_supersolution(state, 1.5)
 
 
 def _task_cosine_checks(n: int, m: float) -> list[CheckResult]:
-    traj = _cosine_run(n, m)
+    traj = cosine_run(n, m)
     out = check_conservation_and_monotonicity(traj)
     out += check_barriers(traj)
     if m in (0.5, 1.0, 2.0):
@@ -84,55 +163,20 @@ def _task_cosine_checks(n: int, m: float) -> list[CheckResult]:
 
 
 def _task_weak_strong(n: int) -> list[CheckResult]:
-    grid = make_grid(1, n)
-    x = grid.axis_coordinates()
-    base = 1 + 0.5 * np.cos(2 * np.pi * x)
-    cfg = SolverConfig(m=1.0, t_end=1.0, output_times=np.linspace(0.05, 1.0, 20))
-    traj_u = run(ScalarField(grid, base), cfg)
-    fits = {}
-    for delta in (1e-2, 5e-3):
-        v0 = ScalarField(grid, base + delta * (np.pi / 2) * np.sin(2 * np.pi * x))
-        fits[delta] = fit_stability_constant(traj_u, run(v0, cfg))
-    c_ref = fits[1e-2]
-    out = [
-        CheckResult.from_measurement(
-            "l1-stability-fit", 0.0, 0.0, 0.0, fitted_c=c_ref, delta=1e-2, n=n
-        ),
-        CheckResult.from_measurement(
-            "l1-stability-constant",
-            abs(fits[5e-3] - c_ref) / max(abs(c_ref), 0.05),
-            0.25,
-            0.0,
-            fitted_c=fits[5e-3],
-            c_ref=c_ref,
-            delta=5e-3,
-            n=n,
-        ),
-    ]
+    traj_u, perturbed = weak_strong_runs(n)
+    fit = check_weak_strong(traj_u, perturbed[1e-2])
+    out = [fit, check_weak_strong(traj_u, perturbed[5e-3], c_ref=fit.context["fitted_c"])]
+    for r, delta in zip(out, perturbed):
+        r.context.update(delta=delta, n=n)
     return out
 
 
 def _task_front_exactness() -> list[CheckResult]:
-    out = []
-    sv = integrate_single_vortex(SingleVortexState(0.25, 0.75, 1.0, 1.0), 2.0)
-    ts = np.linspace(0.0, 2.0, 41)
-    err = max(
-        abs(sv.interpolate(t)[0] - 0.25 * math.exp(-t))
-        + abs(sv.interpolate(t)[1] - (1 - 0.25 * math.exp(-t)))
-        for t in ts
-    )
-    out.append(
-        CheckResult.from_measurement("single-vortex-m1-exact", err, 0.0, 1e-8)
-    )
-    tv = integrate_two_vortex(TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 1.0), 1.5)
-    ts = np.linspace(0.0, 1.5, 31)
-    err2 = max(
-        abs(tv.interpolate(t)[1] - (0.5 - 0.2 * math.exp(-t)))
-        + abs(tv.interpolate(t)[2] - (0.5 + 0.2 * math.exp(-t)))
-        for t in ts
-    )
-    out.append(CheckResult.from_measurement("two-vortex-m1-exact", err2, 0.0, 1e-8))
-
+    err_single, err_two = m1_front_errors(2.0, 1.5)
+    out = [
+        CheckResult.from_measurement("single-vortex-m1-exact", err_single, 0.0, 1e-8),
+        CheckResult.from_measurement("two-vortex-m1-exact", err_two, 0.0, 1e-8),
+    ]
     sv2 = integrate_single_vortex(SingleVortexState(0.1, 0.6, 1.0, 2.0), 1.0)
     ke, kk = k_evaluator(sv2), kink_locator(sv2)
     samples = smooth_samples(sv2, n_times=10)
@@ -157,9 +201,8 @@ def _task_front_exactness() -> list[CheckResult]:
 
 def _task_supersolution_bounds(m: float = 2.0) -> list[CheckResult]:
     """Envelope bounds with the frozen calibrated constants, log time grid."""
-    consts = FRONT_BOUND_CONSTANTS[m]
-    state = SupersolutionState(C=0.2, alpha=0.85, s2=0.4, s3=0.4003, ubar=1.0, m=m)
-    traj = integrate_supersolution(state, 1.5)
+    traj = envelope_front(m)
+    state = traj.state0
     ke, kk = k_evaluator(traj), kink_locator(traj)
     samples = smooth_samples(traj, n_times=10, t_max=traj.t_star)
     out = [
@@ -171,46 +214,11 @@ def _task_supersolution_bounds(m: float = 2.0) -> list[CheckResult]:
             m=m,
         )
     ]
-    t_hi = min(traj.t_end, traj.halted_at or math.inf)
-    ts = np.geomspace(1e-4, t_hi, 60)
-    pos = np.array([traj.interpolate(t) for t in ts])
-    s2, s3 = pos[:, 0], pos[:, 1]
-    scale = state.ubar * ts ** (1.0 / m)
-    afac = (1.0 - state.alpha) ** ((m - 1.0) / m)
-    in_star = ts <= traj.t_star
-    in_both = ts <= min(traj.t_star, traj.t_upper)
-    checks = [
-        (
-            "front-retreat-bound",
-            float(np.max((state.s2 - s2[in_star]) - 1.05 * consts["c_retreat"] * scale[in_star])),
-        ),
-        (
-            "front-advance-bound",
-            float(
-                np.max(
-                    (state.s3 + 0.95 * consts["c_advance"] * afac * scale[in_both])
-                    - s3[in_both]
-                )
-            ),
-        ),
-        (
-            "front-spread-bound",
-            float(np.max(s3 - (state.s3 + 1.05 * consts["c_spread"] * scale))),
-        ),
-        (
-            "front-gap-bound",
-            float(
-                np.max(
-                    0.95 * consts["c_gap"] * (1 - state.alpha) * scale[in_both]
-                    - (s3[in_both] - s2[in_both])
-                )
-            ),
-        ),
-    ]
-    for cid, measured in checks:
-        out.append(CheckResult.from_measurement(cid, measured, 0.0, 1e-9, m=m))
+    for name, measured in envelope_margins(traj).items():
+        out.append(CheckResult.from_measurement(f"front-{name}-bound", measured, 0.0, 1e-9, m=m))
     if math.isfinite(traj.t_star):
-        lower = 0.95 * consts["c_tstar"] * ((state.s2 - state.s1) / state.ubar) ** m
+        c_tstar = FRONT_BOUND_CONSTANTS[m]["c_tstar"]
+        lower = 0.95 * c_tstar * ((state.s2 - state.s1) / state.ubar) ** m
         out.append(
             CheckResult.from_measurement(
                 "front-tstar-bound", lower - traj.t_star, 0.0, 0.0, m=m
@@ -220,9 +228,8 @@ def _task_supersolution_bounds(m: float = 2.0) -> list[CheckResult]:
 
 
 def _task_comparison(n: int) -> list[CheckResult]:
-    traj = _block_run(n, 2.0, t_end=0.15)
-    state = SupersolutionState(C=0.25, alpha=0.8, s2=0.35, s3=0.48, ubar=1.0, m=2.0)
-    sup = integrate_supersolution(state, 0.3)
+    traj = block_run(n, 2.0, t_end=0.15)
+    sup = integrate_supersolution(COMPARISON_STATE, 0.3)
     profiles = [(t, rearrange(f)) for t, f in traj.snapshots]
     excess = comparison_check(profiles, k_evaluator(sup), t_max=sup.t_star)
     return [
@@ -232,57 +239,40 @@ def _task_comparison(n: int) -> list[CheckResult]:
     ]
 
 
-def _task_waiting_time(n: int = 512) -> list[CheckResult]:
-    m = 4.0
-    grid = make_grid(1, n)
-    out = []
+def _edge_classification(u0: ScalarField, m: float) -> tuple[str, tuple]:
+    return waiting_time_indicator(u0, m, support_measure(u0, 1e-8 * float(np.max(u0.values))))
 
-    jump = build_initial_condition(grid, {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]})
-    s0 = support_measure(jump, 1e-8 * float(np.max(jump.values)))
-    ind = waiting_time_indicator(jump, m, s0)
-    out.append(
+
+def _task_waiting_time(n: int = 512) -> list[CheckResult]:
+    runs = waiting_time_runs(n)
+    m = runs["m"]
+    ind = _edge_classification(runs["jump"].snapshots[0][1], m)
+    ind_c = _edge_classification(runs["critical_u0"], m)
+    return [
         CheckResult.from_measurement(
             "edge-mass-classifier-jump",
             0.0 if ind[0] == "diverges" else 1.0,
             0.0,
             0.0,
             classified=ind[0],
-        )
-    )
-    cfg = SolverConfig(m=m, epsilon=0.0, t_end=0.25, output_times=np.linspace(0.01, 0.25, 25))
-    out.append(check_waiting_time(run(jump, cfg), ind))
-
-    crit = build_initial_condition(
-        grid,
-        {"kind": "power_edge", "c": (1 / (m - 1) + 1) / 0.5, "s0": 0.5, "exponent": 1 / (m - 1)},
-    )
-    s0c = support_measure(crit, 1e-8 * float(np.max(crit.values)))
-    ind_c = waiting_time_indicator(crit, m, s0c)
-    out.append(
+        ),
+        check_waiting_time(runs["jump"], ind),
         CheckResult.from_measurement(
             "edge-mass-classifier-critical",
             0.0 if ind_c[0] == "finite" else 1.0,
             0.0,
             0.0,
             classified=ind_c[0],
-        )
-    )
-
-    lip = build_initial_condition(
-        grid, {"kind": "power_edge", "c": 4.0, "s0": 0.5, "exponent": 1.0}
-    )
-    s0l = support_measure(lip, 1e-8 * float(np.max(lip.values)))
-    ind_l = waiting_time_indicator(lip, m, s0l)
-    cfg_l = SolverConfig(
-        m=m, epsilon=0.0, t_end=0.05, output_times=np.linspace(0.002, 0.05, 25)
-    )
-    out.append(check_waiting_time(run(lip, cfg_l), ind_l))
-    return out
+        ),
+        check_waiting_time(
+            runs["lipschitz"], _edge_classification(runs["lipschitz"].snapshots[0][1], m)
+        ),
+    ]
 
 
 def _negative_control() -> list[CheckResult]:
     """Deliberately corrupted trajectory; the mass check must fail."""
-    traj = _cosine_run(64, 1.0, t_end=0.5)
+    traj = cosine_run(64, 1.0, t_end=0.5)
     traj.observables.mass[-1] *= 1.0 + 1e-3
     results = check_conservation_and_monotonicity(traj)
     for r in results:

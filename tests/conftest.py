@@ -1,9 +1,13 @@
-"""Shared simulation fixtures; expensive runs are computed once per session."""
+"""Shared simulation fixtures; expensive runs are computed once per session.
+
+The scenarios the `verify` suites also check come from the builders in
+coulombflow.suites; only the test-only runs are configured here.
+"""
 
 import numpy as np
 import pytest
 
-from coulombflow.initial_conditions import build_initial_condition
+from coulombflow import suites
 from coulombflow.pde_solver import SolverConfig, run
 from coulombflow.torus_field import ScalarField, make_grid
 
@@ -19,16 +23,7 @@ def cosine_field(n, base=1.0, amp=0.5):
 @pytest.fixture(scope="session")
 def cosine_runs_n256():
     """Reference runs u0 = 1 + 0.5 cos(2 pi x), n = 256, t_end = 5."""
-    out = {}
-    for m in ACCEPTANCE_MS:
-        cfg = SolverConfig(
-            m=m,
-            t_end=5.0,
-            output_times=np.linspace(0.1, 5.0, 50),
-            floor_m_lt_1=0.25 if m < 1 else 0.0,
-        )
-        out[m] = run(cosine_field(256), cfg)
-    return out
+    return {m: suites.cosine_run(256, m) for m in ACCEPTANCE_MS}
 
 
 @pytest.fixture(scope="session")
@@ -46,11 +41,7 @@ def fast_diffusion_run():
 @pytest.fixture(scope="session")
 def cosine_m2_by_n():
     """The m = 2 cosine test at three resolutions for refinement checks."""
-    out = {}
-    for n in (128, 256, 512):
-        cfg = SolverConfig(m=2.0, t_end=2.0, output_times=np.linspace(0.1, 2.0, 20))
-        out[n] = run(cosine_field(n), cfg)
-    return out
+    return {n: suites.cosine_run(n, 2.0, t_end=2.0, n_out=20) for n in (128, 256, 512)}
 
 
 @pytest.fixture(scope="session")
@@ -67,40 +58,17 @@ def subsolution_runs():
 @pytest.fixture(scope="session")
 def block_run_m2():
     """Indicator block, m = 2, zero viscosity: the front-tracking scenario."""
-    grid = make_grid(1, 256)
-    u0 = build_initial_condition(grid, {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]})
     times = np.unique(np.concatenate([np.linspace(0.01, 0.15, 15), np.linspace(0.05, 1.0, 20)]))
-    cfg = SolverConfig(m=2.0, epsilon=0.0, t_end=1.0, output_times=times)
-    return run(u0, cfg)
+    return suites.block_run(256, 2.0, 1.0, output_times=times)
 
 
 @pytest.fixture(scope="session")
 def waiting_time_runs():
     """m = 4, n = 512, zero viscosity: jump versus Lipschitz edge data."""
-    m = 4.0
-    grid = make_grid(1, 512)
-    jump = build_initial_condition(grid, {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]})
-    cfg_jump = SolverConfig(
-        m=m, epsilon=0.0, t_end=0.25, output_times=np.linspace(0.01, 0.25, 25)
-    )
-    lip = build_initial_condition(
-        grid, {"kind": "power_edge", "c": 4.0, "s0": 0.5, "exponent": 1.0}
-    )
-    cfg_lip = SolverConfig(
-        m=m, epsilon=0.0, t_end=0.05, output_times=np.linspace(0.002, 0.05, 25)
-    )
-    crit = build_initial_condition(
-        grid,
-        {
-            "kind": "power_edge",
-            "c": (1 / (m - 1) + 1) / 0.5,
-            "s0": 0.5,
-            "exponent": 1 / (m - 1),
-        },
-    )
-    return {
-        "jump": run(jump, cfg_jump),
-        "lipschitz": run(lip, cfg_lip),
-        "critical_u0": crit,
-        "m": m,
-    }
+    return suites.waiting_time_runs(512)
+
+
+@pytest.fixture(scope="session")
+def weak_strong_pairs():
+    """The m = 1 weak-strong base run and its perturbed runs, n = 128 and 256."""
+    return {n: suites.weak_strong_runs(n) for n in (128, 256)}

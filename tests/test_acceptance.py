@@ -6,8 +6,6 @@ fixtures (reference scale: d = 1, n = 256; n = 512 for the support studies;
 eps = h unless the scenario needs the vanishing-viscosity limit directly).
 """
 
-import math
-
 import numpy as np
 
 from coulombflow.barrier_ode import (
@@ -18,26 +16,27 @@ from coulombflow.barrier_ode import (
     upper_regularization,
 )
 from coulombflow.hj_fronts import (
-    FRONT_BOUND_CONSTANTS,
     SingleVortexState,
-    SupersolutionState,
     TwoVortexState,
     comparison_check,
+    envelope_margins,
     integrate_single_vortex,
     integrate_supersolution,
     integrate_two_vortex,
     k_evaluator,
     kink_locator,
+    m1_front_errors,
     smooth_samples,
     viscosity_residual,
 )
-from coulombflow.pde_solver import SolverConfig, dissipation_check, run
+from coulombflow.pde_solver import dissipation_check
 from coulombflow.rearrangement import (
     rearrange,
     subsolution_residual,
     support_measure,
     waiting_time_indicator,
 )
+from coulombflow.suites import COMPARISON_STATE, envelope_front
 from coulombflow.torus_field import ScalarField, hminus1_norm, lp_norm, make_grid, mean
 from coulombflow.verify import check_waiting_time, fit_stability_constant
 
@@ -224,18 +223,7 @@ def test_10_front_tracking_agreement(block_run_m2):
         s1, s2 = sv.interpolate(t)
         worst = max(worst, abs(s_sim - (s2 - s1)))
     assert worst <= tol
-    single = integrate_single_vortex(SingleVortexState(0.25, 0.75, 1.0, 1.0), 1.0)
-    err1 = max(
-        abs(single.interpolate(t)[0] - 0.25 * math.exp(-t))
-        + abs(single.interpolate(t)[1] - (1 - 0.25 * math.exp(-t)))
-        for t in np.linspace(0, 1, 21)
-    )
-    double = integrate_two_vortex(TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 1.0), 1.0)
-    err2 = max(
-        abs(double.interpolate(t)[1] - (0.5 - 0.2 * math.exp(-t)))
-        + abs(double.interpolate(t)[2] - (0.5 + 0.2 * math.exp(-t)))
-        for t in np.linspace(0, 1, 21)
-    )
+    err1, err2 = m1_front_errors(1.0, 1.0)
     assert max(err1, err2) <= 1e-8
     report(
         10,
@@ -245,8 +233,7 @@ def test_10_front_tracking_agreement(block_run_m2):
 
 
 def test_11_comparison_principle(block_run_m2):
-    state = SupersolutionState(C=0.25, alpha=0.8, s2=0.35, s3=0.48, ubar=1.0, m=2.0)
-    sup = integrate_supersolution(state, 0.3)
+    sup = integrate_supersolution(COMPARISON_STATE, 0.3)
     ke = k_evaluator(sup)
     profiles = [(t, rearrange(f)) for t, f in block_run_m2.snapshots]
     p0 = profiles[0][1]
@@ -288,17 +275,12 @@ def test_12_waiting_time(waiting_time_runs):
     )
 
 
-def test_13_weak_strong_stability():
-    fits = {}
-    for n in (128, 256):
-        grid = make_grid(1, n)
-        x = grid.axis_coordinates()
-        base = 1 + 0.5 * np.cos(2 * np.pi * x)
-        cfg = SolverConfig(m=1.0, t_end=1.0, output_times=np.linspace(0.05, 1.0, 20))
-        tu = run(ScalarField(grid, base), cfg)
-        for delta in (1e-2, 5e-3):
-            tv = run(ScalarField(grid, base + delta * (np.pi / 2) * np.sin(2 * np.pi * x)), cfg)
-            fits[(n, delta)] = fit_stability_constant(tu, tv)
+def test_13_weak_strong_stability(weak_strong_pairs):
+    fits = {
+        (n, delta): fit_stability_constant(tu, tv)
+        for n, (tu, perturbed) in weak_strong_pairs.items()
+        for delta, tv in perturbed.items()
+    }
     c_ref = fits[(128, 1e-2)]
     worst = max(abs(v - c_ref) / abs(c_ref) for v in fits.values())
     assert worst <= 0.25
@@ -324,35 +306,13 @@ def test_14_viscosity_residuals():
     r2_sup = viscosity_residual(ke2, 2.0, 1.0, "super", samples2, kinks=kk2)
     assert abs(r2_sub) <= 1e-6 and abs(r2_sup) <= 1e-6
 
-    st = SupersolutionState(C=0.25, alpha=0.8, s2=0.35, s3=0.48, ubar=1.0, m=2.0)
-    sup = integrate_supersolution(st, 0.5)
+    sup = integrate_supersolution(COMPARISON_STATE, 0.5)
     ke3, kk3 = k_evaluator(sup), kink_locator(sup)
     samples3 = smooth_samples(sup, n_times=10, t_max=sup.t_star)
     r3 = viscosity_residual(ke3, 2.0, 1.0, "super", samples3, kinks=kk3)
     assert r3 >= -1e-6
 
-    worst_env = -np.inf
-    for m in (2.0, 4.0):
-        consts = FRONT_BOUND_CONSTANTS[m]
-        sp1 = m / (m - 1)
-        alpha = max(1 - 0.5 / sp1, 0.85)
-        state = SupersolutionState(C=0.2, alpha=alpha, s2=0.4, s3=0.4003, ubar=1.0, m=m)
-        fr = integrate_supersolution(state, 1.5)
-        t_hi = min(fr.t_end, fr.halted_at or math.inf)
-        ts = np.geomspace(1e-4, t_hi, 60)
-        pos = np.array([fr.interpolate(t) for t in ts])
-        s2, s3 = pos[:, 0], pos[:, 1]
-        scale = ts ** (1 / m)
-        star = ts <= fr.t_star
-        both = ts <= min(fr.t_star, fr.t_upper)
-        afac = (1 - alpha) ** ((m - 1) / m)
-        worst_env = max(
-            worst_env,
-            float(np.max((state.s2 - s2[star]) - 1.05 * consts["c_retreat"] * scale[star])),
-            float(np.max((state.s3 + 0.95 * consts["c_advance"] * afac * scale[both]) - s3[both])),
-            float(np.max(s3 - (state.s3 + 1.05 * consts["c_spread"] * scale))),
-            float(np.max(0.95 * consts["c_gap"] * (1 - alpha) * scale[both] - (s3[both] - s2[both]))),
-        )
+    worst_env = max(max(envelope_margins(envelope_front(m)).values()) for m in (2.0, 4.0))
     assert worst_env <= 1e-9
     report(
         14,

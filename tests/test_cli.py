@@ -53,6 +53,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_cfl_above_half_needs_zero_viscosity(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SIM_DOC))
+        doc["solver"]["cfl"] = 0.8
+        cfg = write_config(tmp_path / "c.json", doc)
+        with pytest.raises(ConfigError, match="solver.cfl"):
+            load_config(cfg)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "solver.cfl" in capsys.readouterr().err
+        doc["solver"].update(epsilon=0.0, cfl=1.0)
+        load_config(write_config(tmp_path / "c0.json", doc))
+
     def test_cli_exit_2_on_bad_config(self, tmp_path):
         doc = json.loads(json.dumps(SIM_DOC))
         doc["grid"]["dim"] = 3
@@ -182,6 +193,16 @@ class TestVerifyCommand:
         assert report["warnings"]
         assert "zero checks" in capsys.readouterr().err
 
+    def test_theorem_suite_small_all_pass(self, tmp_path, capsys):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "verify_small.json")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["checks"]) == 60
+        assert all(c["status"] == "pass" for c in report["checks"])
+        assert report["warnings"] == []
+        assert "warning" not in capsys.readouterr().err
+
     def test_unknown_suite_exit_2(self, tmp_path):
         doc = {"verify": {"suite": "no-such-suite"}, "outputs": {}}
         cfg = write_config(tmp_path / "c.json", doc)
@@ -218,15 +239,3 @@ class TestCsvRoundTrip:
         write_csv(p, ["v"], [vals])
         _, cols = read_csv(p)
         assert np.array_equal(cols["v"], vals)
-
-
-class TestEnvThreads:
-    def test_threads_env_default(self, monkeypatch):
-        from coulombflow.cli import _default_jobs
-
-        monkeypatch.delenv("COULOMBFLOW_THREADS", raising=False)
-        assert _default_jobs() == 1
-        monkeypatch.setenv("COULOMBFLOW_THREADS", "3")
-        assert _default_jobs() == 3
-        monkeypatch.setenv("COULOMBFLOW_THREADS", "junk")
-        assert _default_jobs() == 1

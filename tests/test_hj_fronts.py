@@ -11,6 +11,7 @@ from coulombflow.hj_fronts import (
     TwoVortexState,
     calibrate_front_constants,
     comparison_check,
+    envelope_margins,
     evaluate_single_k,
     evaluate_supersolution_k,
     evaluate_two_k,
@@ -22,6 +23,7 @@ from coulombflow.hj_fronts import (
     smooth_samples,
     viscosity_residual,
 )
+from coulombflow.suites import COMPARISON_STATE, envelope_front
 
 
 class TestSingleVortex:
@@ -106,8 +108,6 @@ class TestTwoVortex:
 
 
 class TestSupersolution:
-    STATE = dict(C=0.25, alpha=0.8, s2=0.35, s3=0.48, ubar=1.0, m=2.0)
-
     def test_hypothesis_validation(self):
         with pytest.raises(ValueError, match="C \\* ubar"):
             SupersolutionState(C=1.5, alpha=0.8, s2=0.4, s3=0.5, ubar=1.0, m=2.0)
@@ -117,7 +117,7 @@ class TestSupersolution:
             SupersolutionState(C=0.2, alpha=0.9, s2=0.4, s3=0.5, ubar=1.0, m=1.0)
 
     def test_piece_values(self):
-        st = SupersolutionState(**self.STATE)
+        st = COMPARISON_STATE
         assert evaluate_supersolution_k(st, st.s1) == pytest.approx(0.8)
         assert evaluate_supersolution_k(st, st.s2) == pytest.approx(0.8)
         assert evaluate_supersolution_k(st, st.s3) == pytest.approx(1.0)
@@ -127,14 +127,13 @@ class TestSupersolution:
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_residual_supersolution_sign(self):
-        st = SupersolutionState(**self.STATE)
-        traj = integrate_supersolution(st, 0.5)
+        traj = integrate_supersolution(COMPARISON_STATE, 0.5)
         ke, kk = k_evaluator(traj), kink_locator(traj)
         samples = smooth_samples(traj, n_times=10, t_max=traj.t_star)
         assert viscosity_residual(ke, 2.0, 1.0, "super", samples, kinks=kk) >= -1e-6
 
     def test_hitting_times(self):
-        st = SupersolutionState(**self.STATE)
+        st = COMPARISON_STATE
         traj = integrate_supersolution(st, 1.0)
         assert 0 < traj.t_star < traj.t_upper
         # s2 decreasing, s3 increasing up to the recorded horizon
@@ -144,13 +143,12 @@ class TestSupersolution:
         assert s2_at_star == pytest.approx(st.s1, abs=1e-9)
 
     def test_unreached_hitting_time_is_inf(self):
-        st = SupersolutionState(**self.STATE)
-        traj = integrate_supersolution(st, 0.01)
+        traj = integrate_supersolution(COMPARISON_STATE, 0.01)
         assert math.isinf(traj.t_star)
         assert math.isinf(traj.t_upper)
 
     def test_tstar_lower_bound_frozen_constant(self):
-        st = SupersolutionState(**self.STATE)
+        st = COMPARISON_STATE
         traj = integrate_supersolution(st, 1.0)
         c = FRONT_BOUND_CONSTANTS[2.0]["c_tstar"]
         assert traj.t_star >= 0.95 * c * ((st.s2 - st.s1) / st.ubar) ** 2
@@ -159,28 +157,8 @@ class TestSupersolution:
 class TestFrontBounds:
     @pytest.mark.parametrize("m", [2.0, 4.0])
     def test_envelopes_with_frozen_constants(self, m):
-        consts = FRONT_BOUND_CONSTANTS[m]
-        sp1 = m / (m - 1)
-        alpha = max(1 - 0.5 / sp1, 0.85)
-        state = SupersolutionState(C=0.2, alpha=alpha, s2=0.4, s3=0.4003, ubar=1.0, m=m)
-        traj = integrate_supersolution(state, 1.5)
-        t_hi = min(traj.t_end, traj.halted_at or math.inf)
-        ts = np.geomspace(1e-4, t_hi, 60)
-        pos = np.array([traj.interpolate(t) for t in ts])
-        s2, s3 = pos[:, 0], pos[:, 1]
-        scale = ts ** (1 / m)
-        star = ts <= traj.t_star
-        both = ts <= min(traj.t_star, traj.t_upper)
-        afac = (1 - alpha) ** ((m - 1) / m)
-        assert np.all(s2[star] >= state.s2 - 1.05 * consts["c_retreat"] * scale[star])
-        assert np.all(
-            s3[both] >= state.s3 + 0.95 * consts["c_advance"] * afac * scale[both]
-        )
-        assert np.all(s3 <= state.s3 + 1.05 * consts["c_spread"] * scale)
-        assert np.all(
-            s3[both] - s2[both]
-            >= 0.95 * consts["c_gap"] * (1 - alpha) * scale[both]
-        )
+        margins = envelope_margins(envelope_front(m))
+        assert all(v <= 0.0 for v in margins.values()), margins
 
     def test_frozen_constants_match_calibration(self):
         fresh = calibrate_front_constants(2.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coulombflow import pde_solver
 from coulombflow.pde_solver import (
     SolverConfig,
     SolverError,
@@ -12,7 +13,7 @@ from coulombflow.pde_solver import (
     run,
     step,
 )
-from coulombflow.torus_field import ScalarField, interaction_energy, make_grid, mean
+from coulombflow.torus_field import ScalarField, coulomb_drift, interaction_energy, make_grid, mean
 
 
 def cosine(n, base=1.0, amp=0.5):
@@ -58,6 +59,17 @@ class TestCflDt:
             u = cosine(n)
             dts[n] = cfl_dt(u, cfg)
         assert dts[128] == pytest.approx(dts[64] / 2, rel=0.05)
+
+    def test_cfl_above_half_needs_zero_viscosity(self):
+        # the advective and viscous bounds are each scaled by cfl and the
+        # update is monotone only while they sum to at most 1; at cfl = 0.95
+        # this run used to go negative mid-way
+        g = make_grid(1, 64)
+        x = g.axis_coordinates()
+        u0 = ScalarField(g, np.where((x > 0.25) & (x < 0.75), 2.0, 0.0))
+        with pytest.raises(ValueError, match="cfl"):
+            run(u0, SolverConfig(m=2.0, epsilon="auto", cfl=0.95, t_end=0.1))
+        assert SolverConfig(m=2.0, epsilon=0.0, cfl=1.0).validate(g) == 0.0
 
     def test_underflow_rejected(self):
         u = cosine(64)
@@ -288,6 +300,18 @@ class TestEntropyResidual:
             )
         assert residuals[128] >= -0.01 / 128  # measured envelope -C h
         assert abs(residuals[256]) <= 0.6 * abs(residuals[128])
+
+    def test_drift_computed_once_per_snapshot(self, monkeypatch):
+        traj, cfg = dense_uniform_run(cosine(64), 2.0, 0.05)
+        calls = []
+
+        def counting_drift(*args, **kwargs):
+            calls.append(1)
+            return coulomb_drift(*args, **kwargs)
+
+        monkeypatch.setattr(pde_solver, "coulomb_drift", counting_drift)
+        entropy_residual(traj, cfg, kappas=[0.0, 0.7, 2.0])
+        assert len(calls) == len(traj.snapshots) - 1
 
     def test_needs_enough_snapshots(self):
         traj = run(cosine(64), SolverConfig(m=1.0, t_end=0.1, output_times=[0.1]))

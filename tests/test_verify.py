@@ -125,19 +125,10 @@ class TestWeakStrong:
         with pytest.raises(ValueError):
             fit_stability_constant(traj, traj)  # zero distance: nothing to fit
 
-    def test_fit_and_stability(self):
-        g = make_grid(1, 128)
-        x = g.axis_coordinates()
-        base = 1 + 0.5 * np.cos(2 * np.pi * x)
-        cfg = SolverConfig(m=1.0, t_end=1.0, output_times=np.linspace(0.05, 1.0, 20))
-        tu = run(ScalarField(g, base), cfg)
-        fits = {}
-        for delta in (1e-2, 5e-3):
-            tv = run(
-                ScalarField(g, base + delta * (np.pi / 2) * np.sin(2 * np.pi * x)), cfg
-            )
-            fits[delta] = fit_stability_constant(tu, tv)
-        res = check_weak_strong(tu, run(ScalarField(g, base + 5e-3 * (np.pi / 2) * np.sin(2 * np.pi * x)), cfg), c_ref=fits[1e-2])
+    def test_fit_and_stability(self, weak_strong_pairs):
+        tu, perturbed = weak_strong_pairs[128]
+        fits = {delta: fit_stability_constant(tu, tv) for delta, tv in perturbed.items()}
+        res = check_weak_strong(tu, perturbed[5e-3], c_ref=fits[1e-2])
         assert res.status == "pass"
         assert abs(fits[1e-2] - fits[5e-3]) <= 0.25 * abs(fits[1e-2])
 
