@@ -4,7 +4,7 @@ Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 (analytic front ODE systems), verify (named check suites, JSON report),
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
 verification failure, 2 usage or configuration error.  `verify --jobs N`
-runs suite tasks on N threads (default 1); reports are identical for any N.
+runs suite tasks on N >= 1 threads (default 1); reports are identical for any N.
 """
 
 from __future__ import annotations
@@ -272,6 +272,13 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulombflow",
@@ -294,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=_positive_int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("plot", help="CSV columns to SVG line chart")

@@ -9,14 +9,23 @@ import numpy as np
 __all__ = ["write_csv", "read_csv"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+_BLOCK_ROWS = 8192
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """Integers as str, everything else as format(float(x), ".17g"), one per value."""
+    vals = values.tolist()
+    if values.dtype.kind in "iu":
+        return list(map(str, vals))
+    return (("%.17g\n" * len(vals)) % tuple(vals)).split("\n")[:-1]
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write columns under a header row, floats at 17 significant digits."""
+    """Write columns under a header row, floats at 17 significant digits.
+
+    Rows are formatted column by column in blocks of _BLOCK_ROWS, which bounds
+    the memory held by the strings of one file.
+    """
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(columns) != len(header):
         raise ValueError("one column per header entry required")
@@ -26,8 +35,9 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
             raise ValueError("all columns must share a length")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(nrows):
-            fh.write(",".join(_fmt(c[i]) for c in columns) + "\n")
+        for start in range(0, nrows, _BLOCK_ROWS):
+            cells = [_format_column(c[start : start + _BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path) -> tuple[list[str], dict[str, np.ndarray]]:

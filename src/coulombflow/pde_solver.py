@@ -163,8 +163,9 @@ def _divergence_flux(
 
 
 def _laplacian(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Centered Laplacian over the trailing grid axes; leading axes are a batch."""
     out = np.zeros_like(values)
-    for axis in range(grid.dim):
+    for axis in range(-grid.dim, 0):
         out += (
             np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
         ) / grid.h**2
@@ -465,33 +466,33 @@ def entropy_residual(
     if bank is None:
         bank = default_bump_bank(grid, times[0], times[-1])
 
-    phi_vals = [[phi(t) for t in times] for phi in bank]
+    kap = np.asarray(kappas, dtype=float).reshape((-1,) + (1,) * grid.dim)
+    km = kap**m
+    eps = traj.epsilon
+
+    def stack(fields: np.ndarray) -> np.ndarray:
+        return fields.reshape(len(fields), -1)
+
+    # Kappa-dependent terms are (K, N) arrays and bump-dependent ones (B, N),
+    # so each pairing of the weak form is one (K, N) @ (N, B) product.
+    p_now = np.array([phi(times[0]) for phi in bank])
     totals = np.zeros((len(kappas), len(bank)))
     for n in range(len(snaps) - 1):
         u = snaps[n][1].values
         dt = dts[n]
         faces = coulomb_drift(grid, np.fft.fftn(u))
-        for k, kappa in enumerate(kappas):
-            km = kappa**m
-            eta = np.abs(u - kappa)
-            sgn = np.sign(u - kappa)
-            q = sgn * (_mobility(u, m) - km)
-            z = -sgn * km * (u - ubar)
-            for b, _ in enumerate(bank):
-                p_now = phi_vals[b][n]
-                p_next = phi_vals[b][n + 1]
-                total = float(np.sum(eta * (p_next - p_now))) * cm
-                for axis, w in enumerate(faces):
-                    q_up = _upwind_face_values(q, w, axis)
-                    dphi = (np.roll(p_next, -1, axis=axis) - p_next) / grid.h
-                    total -= dt * float(np.sum(q_up * w * dphi)) * cm
-                total += dt * float(np.sum(z * p_next)) * cm
-                if traj.epsilon > 0.0:
-                    total += (
-                        dt
-                        * traj.epsilon
-                        * float(np.sum(eta * _laplacian(grid, p_next)))
-                        * cm
-                    )
-                totals[k, b] += total
+        p_next = np.array([phi(times[n + 1]) for phi in bank])
+        eta = np.abs(u - kap)
+        sgn = np.sign(u - kap)
+        q = sgn * (_mobility(u, m) - km)
+        z = -sgn * km * (u - ubar)
+        totals += (stack(eta) @ stack(p_next - p_now).T) * cm
+        for axis, w in enumerate(faces):
+            flux = _upwind_face_values(q, w, axis - grid.dim) * w
+            dphi = (np.roll(p_next, -1, axis=axis - grid.dim) - p_next) / grid.h
+            totals -= dt * (stack(flux) @ stack(dphi).T) * cm
+        totals += dt * (stack(z) @ stack(p_next).T) * cm
+        if eps > 0.0:
+            totals += dt * eps * (stack(eta) @ stack(_laplacian(grid, p_next)).T) * cm
+        p_now = p_next
     return float(np.min(totals))

@@ -2,8 +2,9 @@
 
 This module is the one place that builds each verification scenario: the
 cosine run, the block run, the m = 4 waiting-time runs, the weak-strong
-pair, the envelope fronts and COMPARISON_STATE are shared by the suites
-below and by the acceptance gate in tests/, so a scenario is declared once.
+pair, the envelope fronts, the m = 2 single-vortex residuals and
+COMPARISON_STATE are shared by the suites below and by the acceptance gate
+in tests/, so a scenario is declared once.
 
 A suite is a list of independent tasks, each producing CheckResults from
 fresh simulations or front integrations; tasks may run concurrently (they
@@ -56,6 +57,7 @@ __all__ = [
     "waiting_time_runs",
     "weak_strong_runs",
     "envelope_front",
+    "single_vortex_m2_residuals",
     "COMPARISON_STATE",
 ]
 
@@ -148,6 +150,20 @@ def envelope_front(m: float) -> FrontTrajectory:
     return integrate_supersolution(state, 1.5)
 
 
+def single_vortex_m2_residuals() -> tuple[float, float]:
+    """Sub- and supersolution viscosity residuals of the m = 2 single vortex.
+
+    The vortex starts from (0.1, 0.6) and is sampled at 10 times up to 1.0.
+    """
+    sv = integrate_single_vortex(SingleVortexState(0.1, 0.6, 1.0, 2.0), 1.0)
+    ke, kk = k_evaluator(sv), kink_locator(sv)
+    samples = smooth_samples(sv, n_times=10)
+    return (
+        viscosity_residual(ke, 2.0, 1.0, "sub", samples, kinks=kk),
+        viscosity_residual(ke, 2.0, 1.0, "super", samples, kinks=kk),
+    )
+
+
 def _task_cosine_checks(n: int, m: float) -> list[CheckResult]:
     traj = cosine_run(n, m)
     out = check_conservation_and_monotonicity(traj)
@@ -173,30 +189,13 @@ def _task_weak_strong(n: int) -> list[CheckResult]:
 
 def _task_front_exactness() -> list[CheckResult]:
     err_single, err_two = m1_front_errors(2.0, 1.5)
-    out = [
+    r_sub, r_sup = single_vortex_m2_residuals()
+    return [
         CheckResult.from_measurement("single-vortex-m1-exact", err_single, 0.0, 1e-8),
         CheckResult.from_measurement("two-vortex-m1-exact", err_two, 0.0, 1e-8),
+        CheckResult.from_measurement("single-vortex-subsolution-residual", r_sub, 0.0, 1e-6),
+        CheckResult.from_measurement("single-vortex-supersolution-residual", -r_sup, 0.0, 1e-6),
     ]
-    sv2 = integrate_single_vortex(SingleVortexState(0.1, 0.6, 1.0, 2.0), 1.0)
-    ke, kk = k_evaluator(sv2), kink_locator(sv2)
-    samples = smooth_samples(sv2, n_times=10)
-    out.append(
-        CheckResult.from_measurement(
-            "single-vortex-subsolution-residual",
-            viscosity_residual(ke, 2.0, 1.0, "sub", samples, kinks=kk),
-            0.0,
-            1e-6,
-        )
-    )
-    out.append(
-        CheckResult.from_measurement(
-            "single-vortex-supersolution-residual",
-            -viscosity_residual(ke, 2.0, 1.0, "super", samples, kinks=kk),
-            0.0,
-            1e-6,
-        )
-    )
-    return out
 
 
 def _task_supersolution_bounds(m: float = 2.0) -> list[CheckResult]:

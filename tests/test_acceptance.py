@@ -36,7 +36,7 @@ from coulombflow.rearrangement import (
     support_measure,
     waiting_time_indicator,
 )
-from coulombflow.suites import COMPARISON_STATE, envelope_front
+from coulombflow.suites import COMPARISON_STATE, envelope_front, single_vortex_m2_residuals
 from coulombflow.torus_field import ScalarField, hminus1_norm, lp_norm, make_grid, mean
 from coulombflow.verify import check_waiting_time, fit_stability_constant
 
@@ -292,11 +292,7 @@ def test_13_weak_strong_stability(weak_strong_pairs):
 
 
 def test_14_viscosity_residuals():
-    sv = integrate_single_vortex(SingleVortexState(0.1, 0.6, 1.0, 2.0), 1.0)
-    ke, kk = k_evaluator(sv), kink_locator(sv)
-    samples = smooth_samples(sv, n_times=10)
-    r_sub = viscosity_residual(ke, 2.0, 1.0, "sub", samples, kinks=kk)
-    r_sup = viscosity_residual(ke, 2.0, 1.0, "super", samples, kinks=kk)
+    r_sub, r_sup = single_vortex_m2_residuals()
     assert abs(r_sub) <= 1e-6 and abs(r_sup) <= 1e-6
 
     tv = integrate_two_vortex(TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 2.0), 0.8)

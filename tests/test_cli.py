@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coulombflow.cli import main
+from coulombflow import csvio
 from coulombflow.csvio import read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
 
@@ -193,6 +194,15 @@ class TestVerifyCommand:
         assert report["warnings"]
         assert "zero checks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "c.json", {"verify": {"suite": "empty"}, "outputs": {}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+
     def test_theorem_suite_small_all_pass(self, tmp_path, capsys):
         config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "verify_small.json")
         out = tmp_path / "out"
@@ -239,3 +249,23 @@ class TestCsvRoundTrip:
         write_csv(p, ["v"], [vals])
         _, cols = read_csv(p)
         assert np.array_equal(cols["v"], vals)
+
+    def test_bytes_match_per_value_rule(self, tmp_path):
+        def fmt(x):
+            if isinstance(x, (int, np.integer)):
+                return str(int(x))
+            return format(float(x), ".17g")
+
+        nrows = 2 * csvio._BLOCK_ROWS + 37
+        rng = np.random.default_rng(3)
+        floats = rng.standard_normal(nrows) * 10.0 ** rng.integers(-20, 20, nrows)
+        floats[:6] = [1e-300, -0.0, np.inf, -np.inf, -1e-300, 0.0]
+        ints = rng.integers(-(10**12), 10**12, nrows)
+        flags = rng.random(nrows) < 0.5
+        columns = [floats, ints, flags, np.arange(nrows)]
+        p = tmp_path / "rows.csv"
+        write_csv(p, ["f", "i", "b", "k"], columns)
+        want = "f,i,b,k\n" + "".join(
+            ",".join(fmt(c[i]) for c in columns) + "\n" for i in range(nrows)
+        )
+        assert p.read_bytes() == want.encode()

@@ -271,6 +271,49 @@ class TestGradSup:
         assert np.max(vals) >= 5.0 * vals[0]
 
 
+def _entropy_residual_reference(traj, cfg, kappas, bank=None):
+    """entropy_residual as one weak-form sum per (snapshot, kappa, bump)."""
+    snaps = traj.snapshots
+    times = traj.times
+    dts = np.diff(times)
+    grid = traj.grid
+    cm = grid.cell_measure
+    m = cfg.m
+    ubar = mean(snaps[0][1])
+    if bank is None:
+        bank = pde_solver.default_bump_bank(grid, times[0], times[-1])
+    phi_vals = [[phi(t) for t in times] for phi in bank]
+    totals = np.zeros((len(kappas), len(bank)))
+    for n in range(len(snaps) - 1):
+        u = snaps[n][1].values
+        dt = dts[n]
+        faces = coulomb_drift(grid, np.fft.fftn(u))
+        for k, kappa in enumerate(kappas):
+            km = kappa**m
+            eta = np.abs(u - kappa)
+            sgn = np.sign(u - kappa)
+            q = sgn * (np.power(np.maximum(u, 0.0), m) - km)
+            z = -sgn * km * (u - ubar)
+            for b in range(len(bank)):
+                p_now = phi_vals[b][n]
+                p_next = phi_vals[b][n + 1]
+                total = float(np.sum(eta * (p_next - p_now))) * cm
+                for axis, w in enumerate(faces):
+                    q_up = np.where(w > 0.0, np.roll(q, -1, axis=axis), q)
+                    dphi = (np.roll(p_next, -1, axis=axis) - p_next) / grid.h
+                    total -= dt * float(np.sum(q_up * w * dphi)) * cm
+                total += dt * float(np.sum(z * p_next)) * cm
+                if traj.epsilon > 0.0:
+                    lap = np.zeros_like(p_next)
+                    for a in range(grid.dim):
+                        lap += (
+                            np.roll(p_next, -1, axis=a) - 2.0 * p_next + np.roll(p_next, 1, axis=a)
+                        ) / grid.h**2
+                    total += dt * traj.epsilon * float(np.sum(eta * lap)) * cm
+                totals[k, b] += total
+    return float(np.min(totals))
+
+
 class TestEntropyResidual:
     def test_constant_trajectory_zero(self):
         traj, cfg = dense_uniform_run(constant(64, 1.3), 2.0, 0.1)
@@ -312,6 +355,34 @@ class TestEntropyResidual:
         monkeypatch.setattr(pde_solver, "coulomb_drift", counting_drift)
         entropy_residual(traj, cfg, kappas=[0.0, 0.7, 2.0])
         assert len(calls) == len(traj.snapshots) - 1
+
+    @pytest.mark.parametrize(
+        "dim, n, eps, custom_bank",
+        [
+            (1, 64, "auto", False),
+            (1, 64, 0.0, False),
+            (2, 16, "auto", False),
+            (1, 64, "auto", True),
+            (2, 16, "auto", True),
+        ],
+    )
+    def test_matches_per_pair_loop(self, dim, n, eps, custom_bank):
+        g = make_grid(dim, n)
+        coords = g.coordinates()
+        values = 1.0 + 0.5 * np.cos(2 * np.pi * coords[0])
+        if dim == 2:
+            values = values + 0.3 * np.sin(2 * np.pi * coords[1])
+        traj, cfg = dense_uniform_run(ScalarField(g, values), 2.0, 0.05, eps=eps)
+        bank = None
+        if custom_bank:
+            bank = [
+                lambda t, c=c: np.sin(20 * np.pi * t) * (1 + np.cos(2 * np.pi * (coords[0] - c)))
+                for c in (0.1, 0.4, 0.8)
+            ]
+        kappas = [0.0, 0.7, 2.0]
+        got = entropy_residual(traj, cfg, kappas, bank=bank)
+        want = _entropy_residual_reference(traj, cfg, kappas, bank=bank)
+        assert abs(got - want) <= 1e-14
 
     def test_needs_enough_snapshots(self):
         traj = run(cosine(64), SolverConfig(m=1.0, t_end=0.1, output_times=[0.1]))
