@@ -16,6 +16,7 @@ production of the Kruzhkov pairs has the dissipative sign up to O(h).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -106,6 +107,10 @@ class Observables:
     integral of |drift|^2 u^m.  The viscous loss eps * ||u - ubar||^2_{L^2}
     is left out, so with eps > 0 the energy balance is one-sided:
     E(t) + cumulative_dissipation(t) <= E(0).
+
+    lp maps p to the discrete L^p norm for p in (1, 2, inf).  The iterates
+    are nonnegative (run rejects negative u0 and clamps every update at
+    zero), so lp[1] equals mass and lp[inf] equals max.
     """
 
     t: np.ndarray
@@ -136,14 +141,32 @@ class Trajectory:
         return np.array([t for t, _ in self.snapshots])
 
 
+def _next(values: np.ndarray, axis: int) -> np.ndarray:
+    """Periodic + neighbour along `axis`: np.roll(values, -1, axis) by slicing."""
+    lead = (slice(None),) * (axis % values.ndim)
+    rest, first = values[lead + (slice(1, None),)], values[lead + (slice(None, 1),)]
+    return np.concatenate((rest, first), axis)
+
+
+def _prev(values: np.ndarray, axis: int) -> np.ndarray:
+    """Periodic - neighbour along `axis`: np.roll(values, 1, axis) by slicing."""
+    lead = (slice(None),) * (axis % values.ndim)
+    last, rest = values[lead + (slice(-1, None),)], values[lead + (slice(None, -1),)]
+    return np.concatenate((last, rest), axis)
+
+
+def _axis_sum(terms) -> np.ndarray:
+    """Sum of per-axis arrays, starting from the first (no zero accumulator)."""
+    return functools.reduce(np.add, terms)
+
+
 def _upwind_face_values(values: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     """Donor-cell value at each +side face: the neighbor when w > 0, else self.
 
     The mass velocity is opposite in sign to the potential gradient, so a
     positive face drift means mass flows from the + neighbor into this cell.
     """
-    neighbor = np.roll(values, -1, axis=axis)
-    return np.where(w > 0.0, neighbor, values)
+    return np.where(w > 0.0, _next(values, axis), values)
 
 
 def _mobility(values: np.ndarray, m: float) -> np.ndarray:
@@ -151,25 +174,22 @@ def _mobility(values: np.ndarray, m: float) -> np.ndarray:
 
 
 def _divergence_flux(
-    grid: TorusGrid, values: np.ndarray, faces: tuple[np.ndarray, ...], m: float
+    grid: TorusGrid, mob: np.ndarray, faces: tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """div_h of the upwinded flux u^m * drift, cellwise."""
-    out = np.zeros_like(values)
-    for axis in range(grid.dim):
-        up = _upwind_face_values(values, faces[axis], axis)
-        g = faces[axis] * _mobility(up, m)
-        out += (g - np.roll(g, 1, axis=axis)) / grid.h
-    return out
+    """div_h of the upwinded flux u^m * drift, cellwise, from the mobility u^m.
+
+    Upwinding the mobility is upwinding the value: u -> u^m acts per cell.
+    """
+    fluxes = (w * _upwind_face_values(mob, w, axis) for axis, w in enumerate(faces))
+    return _axis_sum((g - _prev(g, axis)) / grid.h for axis, g in enumerate(fluxes))
 
 
 def _laplacian(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Centered Laplacian over the trailing grid axes; leading axes are a batch."""
-    out = np.zeros_like(values)
-    for axis in range(-grid.dim, 0):
-        out += (
-            np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
-        ) / grid.h**2
-    return out
+    return _axis_sum(
+        (_next(values, axis) - 2.0 * values + _prev(values, axis)) / grid.h**2
+        for axis in range(-grid.dim, 0)
+    )
 
 
 def _advective_speed_scale(values: np.ndarray, m: float) -> float:
@@ -179,9 +199,9 @@ def _advective_speed_scale(values: np.ndarray, m: float) -> float:
     mobility is steepest at the smallest value (positive under the floor).
     """
     if m < 1.0:
-        umin = float(np.min(values))
+        umin = float(values.min())
         return m * umin ** (m - 1.0) if umin > 0.0 else np.inf
-    umax = float(np.max(values))
+    umax = float(values.max())
     if umax <= 0.0:
         return 0.0 if m > 1 else np.inf
     return m * umax ** (m - 1.0)
@@ -198,7 +218,7 @@ def cfl_dt(
     eps = cfg.validate(grid)
     if faces is None:
         faces = coulomb_drift(grid, np.fft.fftn(u.values))
-    vmax = max(float(np.max(np.abs(w))) for w in faces)
+    vmax = max(float(np.abs(w).max()) for w in faces)
     speed = _advective_speed_scale(u.values, cfg.m)
     dt = np.inf
     if vmax > 0.0 and speed > 0.0:
@@ -217,16 +237,17 @@ def cfl_dt(
 def _euler_update(
     grid: TorusGrid,
     values: np.ndarray,
+    mob: np.ndarray,
     faces: tuple[np.ndarray, ...],
     dt: float,
-    m: float,
     eps: float,
 ) -> np.ndarray:
-    rhs = _divergence_flux(grid, values, faces, m)
+    """values + dt * (div_h(mob * drift) + eps Lap_h values), clamped at zero."""
+    rhs = _divergence_flux(grid, mob, faces)
     if eps > 0.0:
         rhs = rhs + eps * _laplacian(grid, values)
     new = values + dt * rhs
-    worst = float(np.min(new))
+    worst = float(new.min())
     if worst < 0.0:
         if worst < -_NEGATIVITY_GUARD:
             raise SolverError(
@@ -240,15 +261,17 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     """One forward-Euler conservative update; dt must respect cfl_dt."""
     grid = u.grid
     eps = cfg.validate(grid)
-    if np.min(u.values) < -_NEGATIVITY_GUARD:
+    lo, hi = float(u.values.min()), float(u.values.max())
+    if lo < -_NEGATIVITY_GUARD:
         raise SolverError("negative input density")
-    if float(np.max(u.values)) == float(np.min(u.values)):
+    if hi == lo:
         return u  # constants are exact steady states for any dt
     faces = coulomb_drift(grid, np.fft.fftn(u.values))
     limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
-    return ScalarField(grid, _euler_update(grid, u.values, faces, dt, cfg.m, eps))
+    mob = _mobility(u.values, cfg.m)
+    return ScalarField(grid, _euler_update(grid, u.values, mob, faces, dt, eps))
 
 
 def mollify(u: ScalarField, width: float) -> ScalarField:
@@ -261,24 +284,20 @@ def mollify(u: ScalarField, width: float) -> ScalarField:
     return ScalarField(grid, np.maximum(out, 0.0))
 
 
-def _dissipation_density(
-    values: np.ndarray, faces: tuple[np.ndarray, ...], m: float
-) -> float:
-    """Integral of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces."""
-    sq = np.zeros_like(values)
-    for axis, w in enumerate(faces):
-        sq += 0.5 * (w**2 + np.roll(w, 1, axis=axis) ** 2)
-    return float(np.sum(sq * _mobility(values, m)))
+def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> float:
+    """Sum over cells of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces."""
+    squares = (w**2 for w in faces)
+    sq = _axis_sum(0.5 * (s + _prev(s, axis)) for axis, s in enumerate(squares))
+    return float((sq * mob).sum())
 
 
 def _grad_sup(grid: TorusGrid, values: np.ndarray) -> float:
-    sq = np.zeros_like(values)
-    for axis in range(grid.dim):
-        g = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (
-            2.0 * grid.h
-        )
-        sq += g**2
-    return float(np.sqrt(np.max(sq)))
+    """Max over cells of the Euclidean centered-difference |grad u|."""
+    sq = _axis_sum(
+        ((_next(values, axis) - _prev(values, axis)) / (2.0 * grid.h)) ** 2
+        for axis in range(grid.dim)
+    )
+    return float(np.sqrt(sq.max()))
 
 
 def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
@@ -312,19 +331,21 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
     cum_diss = 0.0
     snapshots: list[tuple[float, ScalarField]] = [(0.0, ScalarField(grid, values.copy()))]
 
-    rows: dict[str, list] = {k: [] for k in ("t", "mass", "min", "max", "l1", "l2", "linf", "energy", "diss", "gsup")}
+    # Iterates stay nonnegative (u0 is checked and every update clamped at
+    # zero), so the L^1 norm is the mass and the L^inf norm is the max.
+    rows: list[tuple[float, ...]] = []
 
     def record(tnow, vals, uhat):
-        rows["t"].append(tnow)
-        rows["mass"].append(float(np.sum(vals)) * cm)
-        rows["min"].append(float(np.min(vals)))
-        rows["max"].append(float(np.max(vals)))
-        rows["l1"].append(float(np.sum(np.abs(vals))) * cm)
-        rows["l2"].append(float(np.sqrt(np.sum(vals**2) * cm)))
-        rows["linf"].append(float(np.max(np.abs(vals))))
-        rows["energy"].append(0.5 * mode_energy(grid, uhat))
-        rows["diss"].append(cum_diss)
-        rows["gsup"].append(_grad_sup(grid, vals))
+        rows.append((
+            tnow,
+            float(vals.sum()) * cm,
+            float(vals.min()),
+            float(vals.max()),
+            float(np.sqrt((vals**2).sum() * cm)),
+            0.5 * mode_energy(grid, uhat),
+            cum_diss,
+            _grad_sup(grid, vals),
+        ))
 
     out_idx = 0
     step_idx = 0
@@ -334,16 +355,17 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
         if step_idx % cfg.record_every == 0:
             record(t, values, uhat)
         if t >= cfg.t_end - 1e-13:
-            if rows["t"][-1] < t - 1e-15:
+            if rows[-1][0] < t - 1e-15:
                 record(t, values, uhat)
             break
         gap = outputs[out_idx] - t
         dt = cfl_dt(
             ScalarField(grid, values), cfg, next_output_gap=gap, faces=faces
         )
-        cum_diss += dt * _dissipation_density(values, faces, cfg.m) * cm
-        values = _euler_update(grid, values, faces, dt, cfg.m, eps)
-        if not np.all(np.isfinite(values)):
+        mob = _mobility(values, cfg.m)
+        cum_diss += dt * _dissipation_density(mob, faces) * cm
+        values = _euler_update(grid, values, mob, faces, dt, eps)
+        if not np.isfinite(values).all():
             raise SolverError(f"non-finite values at t = {t + dt:.6g}")
         t += dt
         step_idx += 1
@@ -352,15 +374,16 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
             snapshots.append((t, ScalarField(grid, values.copy())))
             out_idx = min(out_idx + 1, len(outputs) - 1)
 
+    times, mass, umin, umax, l2, energy, diss, gsup = (np.array(c) for c in zip(*rows))
     obs = Observables(
-        t=np.array(rows["t"]),
-        mass=np.array(rows["mass"]),
-        min=np.array(rows["min"]),
-        max=np.array(rows["max"]),
-        lp={1: np.array(rows["l1"]), 2: np.array(rows["l2"]), np.inf: np.array(rows["linf"])},
-        energy=np.array(rows["energy"]),
-        cumulative_dissipation=np.array(rows["diss"]),
-        grad_sup=np.array(rows["gsup"]),
+        t=times,
+        mass=mass,
+        min=umin,
+        max=umax,
+        lp={1: mass.copy(), 2: l2, np.inf: umax.copy()},
+        energy=energy,
+        cumulative_dissipation=diss,
+        grad_sup=gsup,
     )
     return Trajectory(snapshots=snapshots, observables=obs, m=cfg.m, epsilon=eps)
 
@@ -489,7 +512,7 @@ def entropy_residual(
         totals += (stack(eta) @ stack(p_next - p_now).T) * cm
         for axis, w in enumerate(faces):
             flux = _upwind_face_values(q, w, axis - grid.dim) * w
-            dphi = (np.roll(p_next, -1, axis=axis - grid.dim) - p_next) / grid.h
+            dphi = (_next(p_next, axis - grid.dim) - p_next) / grid.h
             totals -= dt * (stack(flux) @ stack(dphi).T) * cm
         totals += dt * (stack(z) @ stack(p_next).T) * cm
         if eps > 0.0:

@@ -13,7 +13,16 @@ from coulombflow.pde_solver import (
     run,
     step,
 )
-from coulombflow.torus_field import ScalarField, coulomb_drift, interaction_energy, make_grid, mean
+from coulombflow.initial_conditions import build_initial_condition
+from coulombflow.torus_field import (
+    ScalarField,
+    coulomb_drift,
+    interaction_energy,
+    lp_norm,
+    make_grid,
+    mean,
+    mode_energy,
+)
 
 
 def cosine(n, base=1.0, amp=0.5):
@@ -209,6 +218,153 @@ class TestRun:
         a = run(cosine(128), cfg).snapshots[-1][1].values
         b = run(cosine(128), cfg).snapshots[-1][1].values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("eps", ["auto", 0.0])
+    @pytest.mark.parametrize(
+        "dim, params",
+        [
+            (1, {"kind": "cosine", "base": 1.0, "amplitudes": [0.5, 0.2]}),
+            (1, {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]}),
+            (2, {"kind": "blocks", "blocks": [[0.25, 0.75, 0.3, 0.6, 2.0]]}),
+        ],
+    )
+    def test_observables_match_snapshots(self, dim, params, eps):
+        # Iterates are nonnegative, so lp[1] is the mass and lp[inf] the max.
+        g = make_grid(dim, 64 if dim == 1 else 16)
+        traj, _ = dense_uniform_run(build_initial_condition(g, params), 2.0, 0.02, eps=eps)
+        obs = traj.observables
+        assert np.array_equal(obs.t, traj.times)
+        fields = [f for _, f in traj.snapshots]
+
+        def per_snapshot(fn):
+            return np.array([fn(f) for f in fields])
+
+        assert np.array_equal(obs.mass, per_snapshot(mean))
+        assert np.array_equal(obs.lp[1], per_snapshot(lambda f: lp_norm(f, 1)))
+        assert np.array_equal(obs.lp[np.inf], per_snapshot(lambda f: lp_norm(f, np.inf)))
+        assert np.array_equal(obs.min, per_snapshot(lambda f: float(np.min(f.values))))
+        assert np.array_equal(obs.max, per_snapshot(lambda f: float(np.max(f.values))))
+        assert np.array_equal(obs.energy, per_snapshot(interaction_energy))
+        assert np.array_equal(
+            obs.grad_sup, per_snapshot(lambda f: pde_solver._grad_sup(g, f.values))
+        )
+        np.testing.assert_allclose(
+            obs.lp[2], per_snapshot(lambda f: lp_norm(f, 2)), rtol=1e-15, atol=0.0
+        )
+
+
+def _run_reference(u0, cfg):
+    """run() with np.roll neighbours and eight reductions per recorded row.
+
+    Returns the (t, values) snapshots and one row per record:
+    t, mass, min, max, l1, l2, linf, energy, cumulative dissipation, grad sup.
+    """
+    grid = u0.grid
+    h, cm, m = grid.h, grid.cell_measure, cfg.m
+    eps = cfg.validate(grid)
+    u0 = mollify(u0, cfg.mollify_width)
+    outputs = []
+    for t in sorted(float(t) for t in cfg.output_times if 0.0 < t <= cfg.t_end):
+        if not outputs or t - outputs[-1] > 1e-12:
+            outputs.append(t)
+    if not outputs or outputs[-1] < cfg.t_end - 1e-12:
+        outputs.append(cfg.t_end)
+
+    def mobility(v):
+        return np.power(np.maximum(v, 0.0), m)
+
+    values = u0.values.copy()
+    t, cum_diss = 0.0, 0.0
+    snapshots = [(0.0, values.copy())]
+    rows = []
+
+    def record(tnow, v, uhat):
+        gsq = np.zeros_like(v)
+        for a in range(grid.dim):
+            gsq += ((np.roll(v, -1, axis=a) - np.roll(v, 1, axis=a)) / (2.0 * h)) ** 2
+        rows.append((
+            tnow,
+            float(np.sum(v)) * cm,
+            float(np.min(v)),
+            float(np.max(v)),
+            float(np.sum(np.abs(v))) * cm,
+            float(np.sqrt(np.sum(v**2) * cm)),
+            float(np.max(np.abs(v))),
+            0.5 * mode_energy(grid, uhat),
+            cum_diss,
+            float(np.sqrt(np.max(gsq))),
+        ))
+
+    out_idx, step_idx = 0, 0
+    while True:
+        uhat = np.fft.fftn(values)
+        faces = coulomb_drift(grid, uhat)
+        if step_idx % cfg.record_every == 0:
+            record(t, values, uhat)
+        if t >= cfg.t_end - 1e-13:
+            if rows[-1][0] < t - 1e-15:
+                record(t, values, uhat)
+            break
+        gap = outputs[out_idx] - t
+        dt = cfl_dt(ScalarField(grid, values), cfg, next_output_gap=gap, faces=faces)
+        sq = np.zeros_like(values)
+        rhs = np.zeros_like(values)
+        for a, w in enumerate(faces):
+            sq += 0.5 * (w**2 + np.roll(w, 1, axis=a) ** 2)
+            g = w * mobility(np.where(w > 0.0, np.roll(values, -1, axis=a), values))
+            rhs += (g - np.roll(g, 1, axis=a)) / h
+        cum_diss += dt * float(np.sum(sq * mobility(values))) * cm
+        if eps > 0.0:
+            lap = np.zeros_like(values)
+            for a in range(grid.dim):
+                lap += (
+                    np.roll(values, -1, axis=a) - 2.0 * values + np.roll(values, 1, axis=a)
+                ) / h**2
+            rhs = rhs + eps * lap
+        values = values + dt * rhs
+        if float(np.min(values)) < 0.0:
+            values = np.maximum(values, 0.0)
+        t += dt
+        step_idx += 1
+        if abs(t - outputs[out_idx]) < 1e-12:
+            t = outputs[out_idx]
+            snapshots.append((t, values.copy()))
+            out_idx = min(out_idx + 1, len(outputs) - 1)
+    return snapshots, np.array(rows)
+
+
+_REFERENCE_CASES = [
+    (1, m, floor, eps, every)
+    for m, floor in ((0.5, 0.05), (1.0, 0.0), (2.5, 0.0))
+    for eps in ("auto", 0.0)
+    for every in (1, 3)
+] + [(2, 2.5, 0.0, "auto", 3)]
+
+
+@pytest.mark.parametrize("dim, m, floor, eps, every", _REFERENCE_CASES)
+def test_run_matches_roll_based_reference(dim, m, floor, eps, every):
+    g = make_grid(dim, 64 if dim == 1 else 16)
+    x = g.coordinates()
+    # Exact zeros (or the floor) on part of the torus, smooth elsewhere.
+    bump = np.cos(2 * np.pi * x[0]) + 0.3 * np.sin(4 * np.pi * x[-1])
+    u0 = ScalarField(g, np.maximum(2.0 * bump, floor))
+    cfg = SolverConfig(
+        m=m, epsilon=eps, t_end=0.1, output_times=np.linspace(0.01, 0.1, 10),
+        floor_m_lt_1=floor, record_every=every,
+    )
+    traj = run(u0, cfg)
+    want_snaps, want_rows = _run_reference(u0, cfg)
+    assert [t for t, _ in traj.snapshots] == [t for t, _ in want_snaps]
+    for (_, got), (_, want) in zip(traj.snapshots, want_snaps):
+        assert np.array_equal(got.values, want)
+    obs = traj.observables
+    got_cols = [
+        obs.t, obs.mass, obs.min, obs.max, obs.lp[1], obs.lp[2], obs.lp[np.inf],
+        obs.energy, obs.cumulative_dissipation, obs.grad_sup,
+    ]
+    assert len(obs.t) >= 4
+    for got, want in zip(got_cols, want_rows.T):
+        assert np.array_equal(got, want)
 
 
 class TestMollify:
