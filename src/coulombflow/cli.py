@@ -27,12 +27,10 @@ from coulombflow.hj_fronts import (
     integrate_supersolution,
     integrate_two_vortex,
 )
-from coulombflow.initial_conditions import build_initial_condition
-from coulombflow.pde_solver import SolverConfig, SolverError, run
+from coulombflow.pde_solver import SolverError, run
 from coulombflow.rearrangement import rearrange, support_measure
 from coulombflow.suites import run_suite
 from coulombflow.svgplot import write_line_chart
-from coulombflow.torus_field import make_grid
 from coulombflow.verify import emit_report
 
 __all__ = ["main"]
@@ -49,41 +47,20 @@ def _ensure_outdir(path: str) -> None:
         raise ConfigError(f"output directory {path!r} is not writable: {exc}") from exc
 
 
-def _resolve_mollify(ic_params: dict, grid) -> float:
-    mol = ic_params.get("mollify", None)
-    if mol == "off":
-        return 0.0
-    if mol is not None:
-        return float(mol)
-    # indicator data gets a two-cell mollifier unless explicitly disabled
-    return 2.0 * grid.h if ic_params.get("kind") == "blocks" else 0.0
-
-
 def _t_tag(t: float) -> str:
     return f"{t:.6f}"
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    if not cfg.grid or not cfg.solver or not cfg.initial_condition:
+    if cfg.solver is None:
         raise ConfigError("simulate needs grid, solver and initial_condition sections")
     out_dir = args.out or cfg.outputs.get("dir", "out")
     _ensure_outdir(out_dir)
     formats = cfg.outputs.get("formats", ["csv"])
 
-    grid = make_grid(cfg.grid["dim"], cfg.grid["n"])
-    u0 = build_initial_condition(grid, cfg.initial_condition)
-    solver_cfg = SolverConfig(
-        m=cfg.solver["m"],
-        epsilon=cfg.solver.get("epsilon", "auto"),
-        cfl=cfg.solver.get("cfl", 0.45),
-        t_end=cfg.solver.get("t_end", 1.0),
-        output_times=cfg.solver.get("output_times", []),
-        floor_m_lt_1=cfg.solver.get("floor_m_lt_1", 0.0),
-        mollify_width=_resolve_mollify(cfg.initial_condition, grid),
-        record_every=cfg.solver.get("record_every", 1),
-    )
-    traj = run(u0, solver_cfg)
+    grid = cfg.grid
+    traj = run(cfg.u0, cfg.solver)
 
     obs = traj.observables
     write_csv(
@@ -94,9 +71,9 @@ def cmd_simulate(args) -> int:
             obs.mass,
             obs.min,
             obs.max,
-            obs.lp[1],
-            obs.lp[2],
-            obs.lp[np.inf],
+            obs.mass,
+            obs.l2,
+            obs.max,
             obs.energy,
             obs.cumulative_dissipation,
             obs.grad_sup,
@@ -137,7 +114,7 @@ def cmd_simulate(args) -> int:
                 "config": cfg.raw,
                 "epsilon_resolved": traj.epsilon,
                 "theta_support": theta,
-                "mollify_width": solver_cfg.mollify_width,
+                "mollify_width": cfg.solver.mollify_width,
             },
             fh,
             indent=2,
@@ -170,7 +147,9 @@ def cmd_fronts(args) -> int:
     fr = dict(cfg.fronts)
     if not fr:
         raise ConfigError("fronts section missing from config")
-    mode = args.mode
+    mode = fr.get("mode")
+    if mode not in ("single", "double", "super"):
+        raise ConfigError(f"fronts.mode must be 'single', 'double' or 'super', got {mode!r}")
     t_end = fr.get("t_end", 1.0)
     try:
         if mode == "single":
@@ -183,17 +162,17 @@ def cmd_fronts(args) -> int:
             )
             traj = integrate_two_vortex(state, t_end)
             labels = ["s1", "s2", "s3", "s4"]
-        elif mode == "super":
+        else:
             state = SupersolutionState(
                 C=fr["C"], alpha=fr["alpha"], s2=fr["s2"], s3=fr["s3"],
                 ubar=fr["ubar"], m=fr["m"],
             )
             traj = integrate_supersolution(state, t_end)
             labels = ["s2", "s3"]
-        else:
-            raise ConfigError(f"unknown fronts mode {mode!r}")
     except KeyError as exc:
         raise ConfigError(f"fronts config is missing key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"fronts config has a value of the wrong type: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"front hypothesis violated: {exc}") from exc
 
@@ -229,14 +208,14 @@ def cmd_fronts(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    suite = cfg.verify.get("suite")
+    sizes = dict(cfg.verify)  # the keys besides suite are run_suite's
+    suite = sizes.pop("suite", None)
     if not suite:
         raise ConfigError("verify.suite is required")
-    n = cfg.verify.get("n", 128)
     out_dir = args.out or cfg.outputs.get("dir", "out")
     _ensure_outdir(out_dir)
     try:
-        results, warnings = run_suite(suite, n=n, jobs=args.jobs)
+        results, warnings = run_suite(suite, jobs=args.jobs, **sizes)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     code = emit_report(
@@ -293,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fr = sub.add_parser("fronts", help="integrate analytic front systems")
-    p_fr.add_argument("--mode", required=True, choices=["single", "double", "super"])
     p_fr.add_argument("--config", required=True)
     p_fr.add_argument("--out", default=None)
     p_fr.set_defaults(func=cmd_fronts)

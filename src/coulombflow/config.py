@@ -1,16 +1,27 @@
 """Strict JSON experiment configuration.
 
-One JSON document per experiment.  Validation is strict: unknown keys are
-rejected with the offending key named, and every module precondition that
-can be checked statically is checked before anything runs.
+One JSON document per experiment.  Unknown sections and keys are rejected
+with the offending key named.  Every other rule is checked once, by the code
+that uses the section: `make_grid` checks the grid, `build_initial_condition`
+the initial data and `SolverConfig.validate` the solver, all at load time,
+and the `fronts` command checks its section when it builds the front system.
+Their errors become a `ConfigError` that names the section, and for the grid,
+the solver and `verify.n` the key.  This module checks only what no owner
+does: `output_times` within (0, t_end], `mollify` "off" or a width > 0, and
+`outputs.formats`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import numbers
 from dataclasses import dataclass, field
+from typing import Optional
 
-from coulombflow.initial_conditions import KINDS
+from coulombflow.initial_conditions import build_initial_condition
+from coulombflow.pde_solver import SolverConfig
+from coulombflow.torus_field import ScalarField, TorusGrid, make_grid
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -19,61 +30,84 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the key and the constraint."""
 
 
-_SECTIONS = {"grid", "solver", "initial_condition", "outputs", "verify", "fronts"}
-_GRID_KEYS = {"dim", "n"}
-_SOLVER_KEYS = {
-    "m",
-    "epsilon",
-    "cfl",
-    "t_end",
-    "output_times",
-    "floor_m_lt_1",
-    "record_every",
+_KEYS = {
+    "grid": {"dim", "n"},
+    "solver": {"m", "epsilon", "cfl", "t_end", "output_times", "floor_m_lt_1", "record_every"},
+    "initial_condition": {
+        "kind", "value", "base", "amplitudes", "blocks", "c", "s0", "exponent",
+        "center", "path", "mollify",
+    },
+    "outputs": {"dir", "formats"},
+    "verify": {"suite", "n"},
+    "fronts": {"mode", "m", "ubar", "s1", "s2", "s3", "s4", "alpha", "C", "t_end"},
 }
-_IC_KEYS = {
-    "kind",
-    "value",
-    "base",
-    "amplitudes",
-    "blocks",
-    "c",
-    "s0",
-    "exponent",
-    "center",
-    "path",
-    "mollify",
-}
-_OUTPUT_KEYS = {"dir", "formats"}
-_VERIFY_KEYS = {"suite", "n"}
-_FRONTS_KEYS = {"mode", "m", "ubar", "s1", "s2", "s3", "s4", "alpha", "C", "t_end"}
+_SIMULATION = ("grid", "solver", "initial_condition")
 
 
 @dataclass
 class ExperimentConfig:
-    grid: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-    initial_condition: dict = field(default_factory=dict)
+    """A loaded configuration.
+
+    grid, u0 and solver are what `simulate` runs; they are None when the
+    document has no grid, solver and initial_condition sections.
+    """
+
+    raw: dict
+    grid: Optional[TorusGrid] = None
+    u0: Optional[ScalarField] = None
+    solver: Optional[SolverConfig] = None
     outputs: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     fronts: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
-def _require_keys(section: str, data: dict, allowed: set):
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {section}.{key!r}; allowed: {sorted(allowed)}"
-            )
+@contextlib.contextmanager
+def _owned(section: str, keyed: bool = False):
+    """Re-raise what a section's owner raises as a ConfigError naming the section.
+
+    Keyed owners (make_grid, SolverConfig.validate) begin each ValueError with
+    the offending key, which then reads `section.key ...`.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{section}.{exc.args[0]} is required") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{section}{'.' if keyed else ': '}{exc}") from exc
+    except (TypeError, OSError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _check(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
+def _mollify_width(ic: dict, grid: TorusGrid) -> float:
+    if "mollify" not in ic:
+        # indicator data gets a two-cell mollifier unless explicitly disabled
+        return 2.0 * grid.h if ic.get("kind") == "blocks" else 0.0
+    mol = ic["mollify"]
+    if mol == "off":
+        return 0.0
+    if not (isinstance(mol, numbers.Real) and mol > 0):
+        raise ConfigError(f"initial_condition.mollify must be 'off' or a width > 0, got {mol!r}")
+    return float(mol)
+
+
+def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict) -> None:
+    with _owned("grid", keyed=True):
+        cfg.grid = make_grid(**grid)
+    with _owned("initial_condition"):
+        cfg.u0 = build_initial_condition(cfg.grid, ic)
+    width = _mollify_width(ic, cfg.grid)
+    with _owned("solver", keyed=True):
+        cfg.solver = SolverConfig(**solver, mollify_width=width)
+        cfg.solver.validate(cfg.grid)
+    times = cfg.solver.output_times
+    if not isinstance(times, (list, tuple)) or not all(
+        isinstance(t, numbers.Real) and 0 < t <= cfg.solver.t_end for t in times
+    ):
+        raise ConfigError("solver.output_times must be numbers in (0, t_end]")
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and strictly validate an experiment configuration file."""
+    """Parse a configuration file and build the run it describes."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -83,83 +117,34 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    for key in raw:
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown section {key!r}; allowed: {sorted(_SECTIONS)}")
+    for section, data in raw.items():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section {section!r}; allowed: {sorted(_KEYS)}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"section {section!r} must be a JSON object")
+        for key in data:
+            if key not in _KEYS[section]:
+                raise ConfigError(
+                    f"unknown key {section}.{key!r}; allowed: {sorted(_KEYS[section])}"
+                )
 
-    cfg = ExperimentConfig(raw=raw)
-
-    grid = raw.get("grid", {})
-    _require_keys("grid", grid, _GRID_KEYS)
-    if grid:
-        _check("dim" in grid and "n" in grid, "grid needs both 'dim' and 'n'")
-        _check(grid["dim"] in (1, 2), f"grid.dim must be 1 or 2, got {grid.get('dim')}")
-        _check(
-            isinstance(grid["n"], int) and grid["n"] >= 8,
-            f"grid.n must be an integer >= 8, got {grid.get('n')}",
-        )
-    cfg.grid = grid
-
-    solver = raw.get("solver", {})
-    _require_keys("solver", solver, _SOLVER_KEYS)
-    if solver:
-        _check("m" in solver, "solver.m is required")
-        _check(solver["m"] > 0, f"solver.m must be > 0, got {solver['m']}")
-        eps = solver.get("epsilon", "auto")
-        _check(
-            eps == "auto" or (isinstance(eps, (int, float)) and eps >= 0),
-            f"solver.epsilon must be 'auto' or a number >= 0, got {eps!r}",
-        )
-        cfl = solver.get("cfl", 0.45)
-        _check(0 < cfl <= 1, f"solver.cfl must lie in (0, 1], got {cfl}")
-        if eps == "auto" or eps > 0:
-            _check(
-                cfl <= 0.5,
-                f"solver.cfl must be <= 0.5 when solver.epsilon is 'auto' or > 0, got {cfl}",
-            )
-        t_end = solver.get("t_end", 1.0)
-        _check(t_end > 0, f"solver.t_end must be > 0, got {t_end}")
-        times = solver.get("output_times", [])
-        _check(
-            all(isinstance(t, (int, float)) and 0 < t <= t_end for t in times),
-            "solver.output_times must be numbers in (0, t_end]",
-        )
-        if solver["m"] < 1:
-            _check(
-                solver.get("floor_m_lt_1", 0.0) > 0,
-                "solver.floor_m_lt_1 must be > 0 when m < 1",
-            )
-    cfg.solver = solver
-
-    ic = raw.get("initial_condition", {})
-    _require_keys("initial_condition", ic, _IC_KEYS)
-    if ic:
-        _check(
-            ic.get("kind") in KINDS,
-            f"initial_condition.kind must be one of {KINDS}, got {ic.get('kind')!r}",
-        )
-        mol = ic.get("mollify", "off")
-        _check(
-            mol == "off" or (isinstance(mol, (int, float)) and mol > 0),
-            f"initial_condition.mollify must be 'off' or a width > 0, got {mol!r}",
-        )
-    cfg.initial_condition = ic
-
-    outputs = raw.get("outputs", {})
-    _require_keys("outputs", outputs, _OUTPUT_KEYS)
-    formats = outputs.get("formats", ["csv"])
-    _check(
-        all(f in ("csv", "svg") for f in formats),
-        f"outputs.formats entries must be 'csv' or 'svg', got {formats}",
+    cfg = ExperimentConfig(
+        raw=raw,
+        outputs=raw.get("outputs", {}),
+        verify=raw.get("verify", {}),
+        fronts=raw.get("fronts", {}),
     )
-    cfg.outputs = outputs
+    sim = [raw.get(section) for section in _SIMULATION]
+    if all(sim):
+        _build_simulation(cfg, *sim)
+    elif any(sim):
+        raise ConfigError(f"a simulation needs all of {', '.join(_SIMULATION)}")
 
-    verify = raw.get("verify", {})
-    _require_keys("verify", verify, _VERIFY_KEYS)
-    cfg.verify = verify
-
-    fronts = raw.get("fronts", {})
-    _require_keys("fronts", fronts, _FRONTS_KEYS)
-    cfg.fronts = fronts
-
+    formats = cfg.outputs.get("formats", ["csv"])
+    if not all(f in ("csv", "svg") for f in formats):
+        raise ConfigError(f"outputs.formats entries must be 'csv' or 'svg', got {formats}")
+    if "n" in cfg.verify:
+        # the suites build grids of n cells per axis
+        with _owned("verify", keyed=True):
+            make_grid(1, cfg.verify["n"])
     return cfg

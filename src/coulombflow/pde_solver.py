@@ -17,6 +17,7 @@ production of the Kruzhkov pairs has the dissipative sign up to O(h).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 _DT_UNDERFLOW = 1e-14
+# int and float come first: they skip the slow abstract-base-class check in
+# SolverConfig.validate, which runs on every step
+_REAL = (int, float, numbers.Real)
+_INTEGER = (int, numbers.Integral)
 _NEGATIVITY_GUARD = 1e-13
 
 
@@ -77,20 +82,34 @@ class SolverConfig:
     record_every: int = 1
 
     def validate(self, grid: TorusGrid) -> float:
-        """Check invariants and return the resolved viscosity."""
+        """Check invariants and return the resolved viscosity.
+
+        Each error message begins with the name of the offending field.
+        """
+        for name, value in (
+            ("m", self.m), ("cfl", self.cfl), ("t_end", self.t_end),
+            ("floor_m_lt_1", self.floor_m_lt_1),
+        ):
+            if not isinstance(value, _REAL):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not self.m > 0:
             raise ValueError(f"m must be positive, got {self.m}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.m < 1 and not self.floor_m_lt_1 > 0:
-            raise ValueError("m < 1 requires a positive floor on the initial data")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        eps = grid.h if self.epsilon == "auto" else float(self.epsilon)
-        if eps < 0:
-            raise ValueError(f"epsilon must be >= 0, got {eps}")
+            raise ValueError(
+                f"floor_m_lt_1 must be positive when m < 1, got {self.floor_m_lt_1}"
+            )
+        if not isinstance(self.record_every, _INTEGER) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        if self.epsilon == "auto":
+            eps = grid.h
+        elif isinstance(self.epsilon, _REAL) and self.epsilon >= 0:
+            eps = float(self.epsilon)
+        else:
+            raise ValueError(f"epsilon must be 'auto' or a number >= 0, got {self.epsilon!r}")
         if eps > 0 and self.cfl > 0.5:
             raise ValueError(
                 f"cfl must be <= 0.5 when epsilon > 0 (the advective and viscous "
@@ -108,16 +127,16 @@ class Observables:
     is left out, so with eps > 0 the energy balance is one-sided:
     E(t) + cumulative_dissipation(t) <= E(0).
 
-    lp maps p to the discrete L^p norm for p in (1, 2, inf).  The iterates
-    are nonnegative (run rejects negative u0 and clamps every update at
-    zero), so lp[1] equals mass and lp[inf] equals max.
+    l2 is the discrete L^2 norm.  The iterates are nonnegative (run rejects
+    negative u0 and clamps every update at zero), so mass is also the L^1
+    norm and max the L^inf norm.
     """
 
     t: np.ndarray
     mass: np.ndarray
     min: np.ndarray
     max: np.ndarray
-    lp: dict[float, np.ndarray]
+    l2: np.ndarray
     energy: np.ndarray
     cumulative_dissipation: np.ndarray
     grad_sup: np.ndarray
@@ -380,7 +399,7 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
         mass=mass,
         min=umin,
         max=umax,
-        lp={1: mass.copy(), 2: l2, np.inf: umax.copy()},
+        l2=l2,
         energy=energy,
         cumulative_dissipation=diss,
         grad_sup=gsup,

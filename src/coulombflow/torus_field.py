@@ -14,6 +14,7 @@ the solver's mollifier all read them from there.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +86,18 @@ class ScalarField:
             )
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 def make_grid(dim: int, n: int) -> TorusGrid:
-    """Build a uniform torus grid; rejects dim not in {1, 2} and n < 8."""
+    """Build a uniform torus grid; rejects dim not in {1, 2} and n not an integer >= 8.
+
+    Each error message begins with the name of the offending argument.
+    """
     if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension: {dim} (expected 1 or 2)")
+        raise ValueError(f"dim = {dim!r} is an unsupported dimension (expected 1 or 2)")
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 8:
-        raise ValueError(f"grid too coarse: n = {n} < 8")
+        raise ValueError(f"n = {n} < 8 makes the grid too coarse")
     return TorusGrid(dim=dim, n=int(n))
 
 

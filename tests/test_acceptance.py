@@ -67,8 +67,8 @@ def test_02_lp_decrease(cosine_runs_n256):
     worst = -np.inf
     for m in ACCEPTANCE_MS:
         obs = cosine_runs_n256[m].observables
-        for p in (2, np.inf):
-            inc = float(np.max(np.diff(obs.lp[p])))
+        for p, norm in ((2, obs.l2), (np.inf, obs.max)):
+            inc = float(np.max(np.diff(norm)))
             worst = max(worst, inc)
             assert inc <= 1e-8, f"m={m}, p={p}"
     report(2, "lp-decrease", f"worst interval increase {worst:.2e} <= 1e-8, m in {ACCEPTANCE_MS}")

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -8,6 +9,10 @@ from coulombflow.cli import main
 from coulombflow import csvio
 from coulombflow.csvio import read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
+from coulombflow.pde_solver import SolverConfig
+from coulombflow.torus_field import ScalarField, TorusGrid
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(path, doc):
@@ -28,7 +33,82 @@ SIM_DOC = {
 }
 
 
+def sim_doc(section, **entries):
+    """SIM_DOC with `entries` set in one section."""
+    doc = json.loads(json.dumps(SIM_DOC))
+    doc[section].update(entries)
+    return doc
+
+
+def sim_ic(**ic):
+    return {**SIM_DOC, "initial_condition": ic}
+
+
+# (command, document, section, key); the message must name section.key, or
+# only the section where key is None.
+MALFORMED = [
+    pytest.param("simulate", sim_doc("solver", m="2"), "solver", "m", id="solver.m-str"),
+    pytest.param("simulate", sim_doc("solver", cfl="x"), "solver", "cfl", id="solver.cfl-str"),
+    pytest.param("simulate", sim_doc("solver", t_end=None), "solver", "t_end", id="solver.t_end-null"),
+    pytest.param(
+        "simulate", sim_doc("solver", t_end=float("inf")), "solver", "t_end", id="solver.t_end-inf"
+    ),
+    pytest.param(
+        "simulate", sim_doc("solver", record_every=1.5), "solver", "record_every",
+        id="solver.record_every-float",
+    ),
+    pytest.param(
+        "simulate", sim_doc("solver", epsilon="h"), "solver", "epsilon", id="solver.epsilon-str"
+    ),
+    pytest.param("simulate", sim_doc("grid", n=16.0), "grid", "n", id="grid.n-float"),
+    pytest.param(
+        "simulate", sim_ic(kind="cosine", amplitudes=[0.5]), "initial_condition", None,
+        id="cosine-no-base",
+    ),
+    pytest.param(
+        "simulate", sim_ic(kind="constant"), "initial_condition", None, id="constant-no-value"
+    ),
+    pytest.param(
+        "simulate", sim_ic(kind="cosine", base=1.0, amplitudes="ab"), "initial_condition", None,
+        id="amplitudes-str",
+    ),
+    pytest.param(
+        "simulate", sim_ic(kind="from_file", path="no_such_initial_data.csv"),
+        "initial_condition", None, id="from_file-missing-path",
+    ),
+    pytest.param(
+        "verify", {"verify": {"suite": "theorem-suite-small", "n": "x"}}, "verify", "n",
+        id="verify.n-str",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": "a", "s2": 0.75}},
+        "fronts", None, id="fronts.s1-str",
+    ),
+]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("command, doc, section, key", MALFORMED)
+    def test_malformed_config_exit_2(self, tmp_path, capsys, command, doc, section, key):
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert (f"{section}.{key}" if key else section) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))), ids=os.path.basename
+    )
+    def test_shipped_config_loads(self, path):
+        cfg = load_config(path)
+        if "solver" in cfg.raw:
+            assert isinstance(cfg.grid, TorusGrid)
+            assert isinstance(cfg.u0, ScalarField) and cfg.u0.grid == cfg.grid
+            assert isinstance(cfg.solver, SolverConfig)
+        else:
+            assert (cfg.grid, cfg.u0, cfg.solver) == (None, None, None)
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {**SIM_DOC, "extra": {}})
         with pytest.raises(ConfigError, match="extra"):
@@ -141,7 +221,7 @@ class TestFronts:
         }
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "out"
-        assert main(["fronts", "--mode", "single", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["fronts", "--config", cfg, "--out", str(out)]) == 0
         _, cols = read_csv(out / "fronts.csv")
         assert cols["s1"] == pytest.approx(0.25 * np.exp(-cols["t"]), abs=1e-8)
         assert cols["s2"] == pytest.approx(1 - 0.25 * np.exp(-cols["t"]), abs=1e-8)
@@ -156,7 +236,7 @@ class TestFronts:
         }
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "out"
-        assert main(["fronts", "--mode", "double", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["fronts", "--config", cfg, "--out", str(out)]) == 0
         _, cols = read_csv(out / "fronts.csv")
         assert np.max(np.abs(cols["s1"])) == 0.0
         assert np.max(np.abs(cols["s4"] - 1.0)) == 0.0
@@ -170,7 +250,7 @@ class TestFronts:
             "outputs": {"formats": ["csv"]},
         }
         cfg = write_config(tmp_path / "c.json", doc)
-        assert main(["fronts", "--mode", "super", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main(["fronts", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "C * ubar" in err
 

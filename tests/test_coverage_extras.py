@@ -8,6 +8,7 @@ import pytest
 
 from coulombflow.barrier_ode import BarrierParams, phi_envelopes
 from coulombflow.cli import main
+from coulombflow.config import load_config
 from coulombflow.csvio import read_csv
 from coulombflow.pde_solver import SolverConfig, run
 from coulombflow.torus_field import (
@@ -144,6 +145,30 @@ class TestCliEdgeCases:
         _, dense = read_csv(out2 / "observables.csv")
         assert len(thin["t"]) < len(dense["t"])
         assert thin["t"][-1] == dense["t"][-1]
+
+    @pytest.mark.parametrize(
+        "ic, width",
+        [
+            ({"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]}, 2.0 / 128),
+            ({"kind": "cosine", "base": 1.0, "amplitudes": [0.5]}, 0.0),
+            ({"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]], "mollify": "off"}, 0.0),
+            ({"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]], "mollify": 0.01}, 0.01),
+            ({"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]], "mollify": -0.01}, None),
+        ],
+        ids=["blocks-default", "cosine-default", "off", "width", "negative"],
+    )
+    def test_mollify_width_rule(self, tmp_path, capsys, ic, width):
+        doc = {
+            "grid": {"dim": 1, "n": 128},
+            "solver": {"m": 2.0, "t_end": 0.05, "output_times": [0.05]},
+            "initial_condition": ic,
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        if width is None:
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "initial_condition.mollify" in capsys.readouterr().err
+        else:
+            assert load_config(cfg).solver.mollify_width == pytest.approx(width)
 
     def test_mollify_default_for_blocks(self, tmp_path):
         doc = {

@@ -152,8 +152,8 @@ class TestRun:
     def test_lp_monotone(self):
         traj = run(cosine(256), SolverConfig(m=2.0, t_end=1.0, output_times=[1.0]))
         obs = traj.observables
-        assert np.max(np.diff(obs.lp[2])) <= 1e-8
-        assert np.max(np.diff(obs.lp[np.inf])) <= 1e-8
+        assert np.max(np.diff(obs.l2)) <= 1e-8
+        assert np.max(np.diff(obs.max)) <= 1e-8
 
     def test_l1_decay_rate_m1(self):
         traj = run(cosine(256), SolverConfig(m=1.0, t_end=2.0, output_times=np.linspace(0.1, 2, 20)))
@@ -189,7 +189,7 @@ class TestRun:
         obs = traj.observables
         assert np.max(np.abs(obs.mass - obs.mass[0])) <= 1e-11 * obs.mass[0]
         assert np.max(np.diff(obs.max)) <= 1e-9
-        assert np.max(np.diff(obs.lp[2])) <= 1e-8
+        assert np.max(np.diff(obs.l2)) <= 1e-8
 
     @pytest.mark.parametrize("eps", ["auto", 0.0])
     @pytest.mark.parametrize("floor", [1e-2, 1e-4])
@@ -229,7 +229,7 @@ class TestRun:
         ],
     )
     def test_observables_match_snapshots(self, dim, params, eps):
-        # Iterates are nonnegative, so lp[1] is the mass and lp[inf] the max.
+        # Iterates are nonnegative, so the mass is the L^1 norm and the max the L^inf norm.
         g = make_grid(dim, 64 if dim == 1 else 16)
         traj, _ = dense_uniform_run(build_initial_condition(g, params), 2.0, 0.02, eps=eps)
         obs = traj.observables
@@ -240,8 +240,8 @@ class TestRun:
             return np.array([fn(f) for f in fields])
 
         assert np.array_equal(obs.mass, per_snapshot(mean))
-        assert np.array_equal(obs.lp[1], per_snapshot(lambda f: lp_norm(f, 1)))
-        assert np.array_equal(obs.lp[np.inf], per_snapshot(lambda f: lp_norm(f, np.inf)))
+        assert np.array_equal(obs.mass, per_snapshot(lambda f: lp_norm(f, 1)))
+        assert np.array_equal(obs.max, per_snapshot(lambda f: lp_norm(f, np.inf)))
         assert np.array_equal(obs.min, per_snapshot(lambda f: float(np.min(f.values))))
         assert np.array_equal(obs.max, per_snapshot(lambda f: float(np.max(f.values))))
         assert np.array_equal(obs.energy, per_snapshot(interaction_energy))
@@ -249,7 +249,7 @@ class TestRun:
             obs.grad_sup, per_snapshot(lambda f: pde_solver._grad_sup(g, f.values))
         )
         np.testing.assert_allclose(
-            obs.lp[2], per_snapshot(lambda f: lp_norm(f, 2)), rtol=1e-15, atol=0.0
+            obs.l2, per_snapshot(lambda f: lp_norm(f, 2)), rtol=1e-15, atol=0.0
         )
 
 
@@ -359,7 +359,7 @@ def test_run_matches_roll_based_reference(dim, m, floor, eps, every):
         assert np.array_equal(got.values, want)
     obs = traj.observables
     got_cols = [
-        obs.t, obs.mass, obs.min, obs.max, obs.lp[1], obs.lp[2], obs.lp[np.inf],
+        obs.t, obs.mass, obs.min, obs.max, obs.mass, obs.l2, obs.max,
         obs.energy, obs.cumulative_dissipation, obs.grad_sup,
     ]
     assert len(obs.t) >= 4
