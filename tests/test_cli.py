@@ -85,6 +85,10 @@ MALFORMED = [
         {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": "a", "s2": 0.75}},
         "fronts", None, id="fronts.s1-str",
     ),
+    pytest.param(
+        "fronts", {"fronts": {"m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75}}, "fronts", "mode",
+        id="fronts.mode-missing",
+    ),
 ]
 
 
