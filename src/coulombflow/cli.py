@@ -19,14 +19,7 @@ import numpy as np
 
 from coulombflow.config import ConfigError, load_config
 from coulombflow.csvio import read_csv, write_csv
-from coulombflow.hj_fronts import (
-    SingleVortexState,
-    SupersolutionState,
-    TwoVortexState,
-    integrate_single_vortex,
-    integrate_supersolution,
-    integrate_two_vortex,
-)
+from coulombflow.hj_fronts import FRONT_SYSTEMS
 from coulombflow.pde_solver import SolverError, run
 from coulombflow.rearrangement import rearrange, support_measure
 from coulombflow.suites import run_suite
@@ -144,37 +137,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_fronts(args) -> int:
     cfg = load_config(args.config)
-    fr = dict(cfg.fronts)
-    if not fr:
+    if cfg.fronts is None:
         raise ConfigError("fronts section missing from config")
-    mode = fr.get("mode")
-    if mode not in ("single", "double", "super"):
-        raise ConfigError(f"fronts.mode must be 'single', 'double' or 'super', got {mode!r}")
-    t_end = fr.get("t_end", 1.0)
-    try:
-        if mode == "single":
-            state = SingleVortexState(fr["s1"], fr["s2"], fr["ubar"], fr["m"])
-            traj = integrate_single_vortex(state, t_end)
-            labels = ["s1", "s2"]
-        elif mode == "double":
-            state = TwoVortexState(
-                fr["s1"], fr["s2"], fr["s3"], fr["s4"], fr["alpha"], fr["ubar"], fr["m"]
-            )
-            traj = integrate_two_vortex(state, t_end)
-            labels = ["s1", "s2", "s3", "s4"]
-        else:
-            state = SupersolutionState(
-                C=fr["C"], alpha=fr["alpha"], s2=fr["s2"], s3=fr["s3"],
-                ubar=fr["ubar"], m=fr["m"],
-            )
-            traj = integrate_supersolution(state, t_end)
-            labels = ["s2", "s3"]
-    except KeyError as exc:
-        raise ConfigError(f"fronts config is missing key {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"fronts config has a value of the wrong type: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"front hypothesis violated: {exc}") from exc
+    mode, state, t_end = cfg.fronts
+    traj = FRONT_SYSTEMS[mode][1](state, t_end)
 
     out_dir = args.out or cfg.outputs.get("dir", "out")
     _ensure_outdir(out_dir)
@@ -184,21 +150,15 @@ def cmd_fronts(args) -> int:
         idx.append(len(traj.times) - 1)
     ts = traj.times[idx]
     cols = [ts] + [traj.positions[idx, j] for j in range(traj.positions.shape[1])]
-    if mode == "super":
-        flag = (ts >= traj.t_star).astype(int) if math.isfinite(traj.t_star) else np.zeros(len(ts), dtype=int)
-    else:
-        flag = (
-            (ts >= traj.halted_at).astype(int)
-            if traj.halted_at is not None
-            else np.zeros(len(ts), dtype=int)
-        )
-    cols.append(flag)
-    write_csv(os.path.join(out_dir, "fronts.csv"), ["t"] + labels + ["t_star_flag"], cols)
+    # the dominating profile flags its hitting time t_star, the others their halt
+    flag_from = traj.t_star if mode == "super" else traj.halted_at
+    cols.append((ts >= (math.inf if flag_from is None else flag_from)).astype(int))
+    write_csv(os.path.join(out_dir, "fronts.csv"), ["t", *state.MOVING, "t_star_flag"], cols)
     if "svg" in cfg.outputs.get("formats", ["csv"]):
         write_line_chart(
             os.path.join(out_dir, "fronts.svg"),
             ts,
-            {lab: traj.positions[idx, j] for j, lab in enumerate(labels)},
+            {lab: traj.positions[idx, j] for j, lab in enumerate(state.MOVING)},
             xlabel="t",
             ylabel="front position",
             title=f"{mode} front tracking",

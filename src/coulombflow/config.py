@@ -2,28 +2,32 @@
 
 One JSON document per experiment.  Unknown sections and keys are rejected
 with the offending key named.  Every other rule is checked once, by the code
-that uses the section: `make_grid` checks the grid, `build_initial_condition`
-the initial data and `SolverConfig.validate` the solver, all at load time,
-and the `fronts` command checks its section when it builds the front system.
+that uses the section, all at load time: `make_grid` checks the grid,
+`build_initial_condition` the initial data, `SolverConfig.validate` the
+solver, and the state class that `fronts.mode` names the front system.
 Their errors become a `ConfigError` that names the section, and for the grid,
-the solver and `verify.n` the key.  This module checks only what no owner
-does: `output_times` within (0, t_end], `mollify` "off" or a width > 0, and
+the solver, `verify.n` and a missing `fronts` key the key.  This module
+checks only what no owner does: `output_times` within (0, t_end], `mollify`
+"off" or a width > 0, `fronts.t_end` positive and finite, and
 `outputs.formats`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from coulombflow.hj_fronts import FRONT_SYSTEMS
 from coulombflow.initial_conditions import build_initial_condition
 from coulombflow.pde_solver import SolverConfig
 from coulombflow.torus_field import ScalarField, TorusGrid, make_grid
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "FrontRun", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -39,9 +43,19 @@ _KEYS = {
     },
     "outputs": {"dir", "formats"},
     "verify": {"suite", "n"},
-    "fronts": {"mode", "m", "ubar", "s1", "s2", "s3", "s4", "alpha", "C", "t_end"},
+    "fronts": {"mode", "t_end"}.union(
+        *((f.name for f in dataclasses.fields(state)) for state, _ in FRONT_SYSTEMS.values())
+    ),
 }
 _SIMULATION = ("grid", "solver", "initial_condition")
+
+
+class FrontRun(NamedTuple):
+    """What `fronts` integrates: the system `mode` from `state` up to `t_end`."""
+
+    mode: str
+    state: object
+    t_end: float
 
 
 @dataclass
@@ -49,16 +63,17 @@ class ExperimentConfig:
     """A loaded configuration.
 
     grid, u0 and solver are what `simulate` runs; they are None when the
-    document has no grid, solver and initial_condition sections.
+    document has no grid, solver and initial_condition sections.  fronts is
+    what `fronts` runs, None without a fronts section.
     """
 
     raw: dict
     grid: Optional[TorusGrid] = None
     u0: Optional[ScalarField] = None
     solver: Optional[SolverConfig] = None
+    fronts: Optional[FrontRun] = None
     outputs: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
-    fronts: dict = field(default_factory=dict)
 
 
 @contextlib.contextmanager
@@ -106,6 +121,19 @@ def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict)
         raise ConfigError("solver.output_times must be numbers in (0, t_end]")
 
 
+def _build_fronts(fronts: dict) -> FrontRun:
+    with _owned("fronts"):
+        mode = fronts["mode"]
+        if mode not in FRONT_SYSTEMS:
+            raise ValueError(f"mode must be one of {sorted(FRONT_SYSTEMS)}, got {mode!r}")
+        t_end = fronts.get("t_end", 1.0)
+        if not (isinstance(t_end, numbers.Real) and 0 < t_end < math.inf):
+            raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+        cls = FRONT_SYSTEMS[mode][0]
+        state = cls(**{f.name: fronts[f.name] for f in dataclasses.fields(cls)})
+    return FrontRun(mode, state, t_end)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a configuration file and build the run it describes."""
     try:
@@ -128,17 +156,14 @@ def load_config(path) -> ExperimentConfig:
                     f"unknown key {section}.{key!r}; allowed: {sorted(_KEYS[section])}"
                 )
 
-    cfg = ExperimentConfig(
-        raw=raw,
-        outputs=raw.get("outputs", {}),
-        verify=raw.get("verify", {}),
-        fronts=raw.get("fronts", {}),
-    )
+    cfg = ExperimentConfig(raw=raw, outputs=raw.get("outputs", {}), verify=raw.get("verify", {}))
     sim = [raw.get(section) for section in _SIMULATION]
     if all(sim):
         _build_simulation(cfg, *sim)
     elif any(sim):
         raise ConfigError(f"a simulation needs all of {', '.join(_SIMULATION)}")
+    if "fronts" in raw:
+        cfg.fronts = _build_fronts(raw["fronts"])
 
     formats = cfg.outputs.get("formats", ["csv"])
     if not all(f in ("csv", "svg") for f in formats):

@@ -6,15 +6,21 @@ exactly: a single-vortex profile (one rising ramp between two plateaus), a
 two-vortex profile (two ramps), and a four-piece supersolution whose middle
 ramp follows the power map u -> u^(m/(m-1)).  All front positions obey small
 ODE systems integrated here with fixed-step RK4 plus cubic Hermite dense
-output, and the piecewise evaluators support finite-difference viscosity
+output, and the piecewise profiles support finite-difference viscosity
 residual checks away from the kinks.
+
+Each system is described once, by its state class: `MOVING` names the
+fronts its ODE moves (in trajectory column order), `kinks` lists the
+interfaces where the profile is not smooth, and `k(s)` evaluates the
+profile.  FRONT_SYSTEMS maps each `fronts.mode` to its state class and
+integrator; everything else reads those members.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +33,7 @@ __all__ = [
     "integrate_single_vortex",
     "integrate_two_vortex",
     "integrate_supersolution",
-    "evaluate_single_k",
-    "evaluate_two_k",
-    "evaluate_supersolution_k",
+    "FRONT_SYSTEMS",
     "k_evaluator",
     "kink_locator",
     "smooth_samples",
@@ -57,6 +61,8 @@ class FrontIntegrationError(RuntimeError):
 class SingleVortexState:
     """One ramp of slope ubar / (s2 - s1) between a zero and a full plateau."""
 
+    MOVING: ClassVar[tuple[str, ...]] = ("s1", "s2")
+
     s1: float
     s2: float
     ubar: float
@@ -71,13 +77,22 @@ class SingleVortexState:
             raise ValueError(f"front systems require m >= 1, got {self.m}")
 
     @property
-    def slope(self) -> float:
-        return self.ubar / (self.s2 - self.s1)
+    def kinks(self) -> np.ndarray:
+        return np.array([self.s1, self.s2])
+
+    def k(self, s) -> np.ndarray:
+        """Three-piece profile: 0, a ramp of slope ubar / (s2 - s1), plateau at the mass."""
+        s = np.asarray(s, dtype=float)
+        ramp = self.ubar / (self.s2 - self.s1) * (s - self.s1)
+        out = np.where(s < self.s1, 0.0, np.where(s < self.s2, ramp, self.ubar))
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class TwoVortexState:
     """Two ramps carrying mass fractions alpha and 1 - alpha."""
+
+    MOVING: ClassVar[tuple[str, ...]] = ("s1", "s2", "s3", "s4")
 
     s1: float
     s2: float
@@ -101,6 +116,27 @@ class TwoVortexState:
         if not self.m >= 1:
             raise ValueError(f"front systems require m >= 1, got {self.m}")
 
+    @property
+    def kinks(self) -> np.ndarray:
+        return np.array([self.s1, self.s2, self.s3, self.s4])
+
+    def k(self, s) -> np.ndarray:
+        """Five-piece profile with plateaus at 0, alpha * ubar, and ubar."""
+        s = np.asarray(s, dtype=float)
+        au = self.alpha * self.ubar
+        ramp1 = au * (s - self.s1) / (self.s2 - self.s1)
+        ramp2 = (self.ubar - au) * (s - self.s3) / (self.s4 - self.s3) + au
+        out = np.where(
+            s < self.s1,
+            0.0,
+            np.where(
+                s < self.s2,
+                ramp1,
+                np.where(s < self.s3, au, np.where(s < self.s4, ramp2, self.ubar)),
+            ),
+        )
+        return out if out.ndim else float(out)
+
 
 @dataclass(frozen=True)
 class SupersolutionState:
@@ -109,6 +145,8 @@ class SupersolutionState:
     Hypotheses: C ubar <= 1 and 2 (1 - alpha) sigma'(1) <= 1 with
     sigma(u) = u^(m/(m-1)).
     """
+
+    MOVING: ClassVar[tuple[str, ...]] = ("s2", "s3")
 
     C: float
     alpha: float
@@ -143,12 +181,33 @@ class SupersolutionState:
     def sigma_prime_1(self) -> float:
         return self.m / (self.m - 1.0)
 
+    @property
+    def kinks(self) -> np.ndarray:
+        return np.array([self.s1, self.s2, self.s3])
+
+    def k(self, s) -> np.ndarray:
+        """Four-piece profile whose middle ramp follows sigma(u) = u^(m/(m-1))."""
+        s = np.asarray(s, dtype=float)
+        ubar, alpha = self.ubar, self.alpha
+        gap = self.s3 - self.s2
+        u = np.clip((s - self.s2) / gap, 0.0, 1.0)
+        sigma = u ** (self.m / (self.m - 1.0))
+        ramp = sigma * (1.0 - alpha) * ubar + alpha * ubar
+        out = np.where(
+            s <= self.s1,
+            s / self.C,
+            np.where(s <= self.s2, alpha * ubar, np.where(s <= self.s3, ramp, ubar)),
+        )
+        return out if out.ndim else float(out)
+
 
 @dataclass
 class FrontTrajectory:
-    """Dense front-position series with exact endpoint derivatives."""
+    """Dense front-position series with exact endpoint derivatives.
 
-    kind: str
+    Column j of positions is the front state0.MOVING[j].
+    """
+
     times: np.ndarray
     positions: np.ndarray  # shape (N, npos)
     derivs: np.ndarray  # shape (N, npos), RHS at the stored points
@@ -185,68 +244,58 @@ class FrontTrajectory:
         )
 
     def state_at(self, t: float):
-        pos = self.interpolate(t)
-        s0 = self.state0
-        if self.kind == "single":
-            return replace(s0, s1=float(pos[0]), s2=float(pos[1]))
-        if self.kind == "double":
-            return replace(
-                s0, s1=float(pos[0]), s2=float(pos[1]), s3=float(pos[2]), s4=float(pos[3])
-            )
-        return replace(s0, s2=float(pos[0]), s3=float(pos[1]))
+        moved = zip(self.state0.MOVING, self.interpolate(t))
+        return replace(self.state0, **{name: float(p) for name, p in moved})
 
 
 def _rk4_integrate(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
+    rhs: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    init,
     t_end: float,
-    m: float,
-    ubar: float,
     gap_of: Callable[[np.ndarray], float],
     valid: Callable[[np.ndarray], bool],
-    on_gap_collapse: str,
-    kind: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[float]]:
-    """Fixed-rule RK4 stepping.
+) -> FrontTrajectory:
+    """Fixed-rule RK4 stepping of the fronts init.MOVING.
 
-    Base step 1e-4 * min(1, gap^(m-1) / ubar^m), floored by a
-    relative-motion step that moves fronts by at most 0.1 percent of the
-    current gap (the base rule alone stalls for large m where it scales like
-    gap^(m-1)); both rules keep the local RK4 error orders of magnitude below
-    every stated tolerance.
+    rhs(y) returns the front velocities and the rate r(y), the coefficient
+    of their linear terms.  Base step 1e-4 * min(1, gap^(m-1) / ubar^m),
+    floored by a relative-motion step that moves fronts by at most 0.1
+    percent of the current gap (the base rule alone stalls for large m where
+    it scales like gap^(m-1)), and capped at 0.05 / r: the floor grows
+    without limit as the fronts settle, and the cap keeps RK4 far inside its
+    stability interval.  The rules keep the local RK4 error orders of
+    magnitude below every stated tolerance.  Integration halts when the gap
+    falls below 1e-10 or a step leaves the region `valid` accepts.
     """
-    ts = [0.0]
-    ys = [np.array(y0, dtype=float)]
-    ds = [rhs(ys[0])]
-    t, y = 0.0, np.array(y0, dtype=float)
+    m, ubar = init.m, init.ubar
+    y = np.array([getattr(init, name) for name in init.MOVING], dtype=float)
+    d, rate = rhs(y)
+    t, ts, ys, ds = 0.0, [0.0], [y], [d]
     halted = None
     while t < t_end - 1e-15:
         gap = gap_of(y)
         if gap < _GAP_FLOOR:
-            if on_gap_collapse == "raise":
-                raise FrontIntegrationError(
-                    f"{kind} front gap collapsed at t = {t:.6g}", t_reached=t
-                )
             halted = t
             break
-        k1 = rhs(y)
+        k1 = d  # rhs at y, evaluated once at the end of the previous step
         speed = float(np.max(np.abs(k1)))
         dt = _BASE_STEP * min(1.0, gap ** (m - 1.0) / ubar**m)
         if speed > 0.0:
             dt = max(dt, 1e-3 * gap / speed)
-        dt = min(dt, t_end - t)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
+        dt = min(dt, 0.05 / rate, t_end - t)
+        k2 = rhs(y + 0.5 * dt * k1)[0]
+        k3 = rhs(y + 0.5 * dt * k2)[0]
+        k4 = rhs(y + dt * k3)[0]
         y_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not valid(y_new):
             halted = t
             break
         t, y = t + dt, y_new
+        d, rate = rhs(y)
         ts.append(t)
-        ys.append(y.copy())
-        ds.append(rhs(y))
-    return np.array(ts), np.array(ys), np.array(ds), halted
+        ys.append(y)
+        ds.append(d)
+    return FrontTrajectory(np.array(ts), np.array(ys), np.array(ds), init, halted_at=halted)
 
 
 def integrate_single_vortex(init: SingleVortexState, t_end: float) -> FrontTrajectory:
@@ -256,26 +305,20 @@ def integrate_single_vortex(init: SingleVortexState, t_end: float) -> FrontTraje
     def rhs(y):
         s1, s2 = y
         denom = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0)
-        return np.array(
-            [-(ubar**m) * s1 / denom, ubar**m * (1.0 - s2) / denom]
-        )
+        return np.array([-(ubar**m) * s1 / denom, ubar**m * (1.0 - s2) / denom]), ubar**m / denom
 
-    ts, ys, ds, halted = _rk4_integrate(
+    traj = _rk4_integrate(
         rhs,
-        np.array([init.s1, init.s2]),
+        init,
         t_end,
-        m,
-        ubar,
         gap_of=lambda y: y[1] - y[0],
         valid=lambda y: 0.0 - 1e-12 <= y[0] < y[1] <= 1.0 + 1e-12,
-        on_gap_collapse="raise",
-        kind="single-vortex",
     )
-    if halted is not None:
+    if traj.halted_at is not None:
         raise FrontIntegrationError(
-            f"single-vortex ordering lost at t = {halted:.6g}", t_reached=halted
+            f"single-vortex ordering lost at t = {traj.halted_at:.6g}", t_reached=traj.halted_at
         )
-    return FrontTrajectory("single", ts, ys, ds, init)
+    return traj
 
 
 def integrate_two_vortex(init: TwoVortexState, t_end: float) -> FrontTrajectory:
@@ -288,14 +331,13 @@ def integrate_two_vortex(init: TwoVortexState, t_end: float) -> FrontTrajectory:
         s1, s2, s3, s4 = y
         d12 = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0)
         d34 = max(s4 - s3, _GAP_FLOOR) ** (m - 1.0)
-        return np.array(
-            [
-                -a_fac * s1 / d12,
-                a_fac * (alpha - s2) / d12,
-                b_fac * (alpha - s3) / d34,
-                b_fac * (1.0 - s4) / d34,
-            ]
-        )
+        velocities = [
+            -a_fac * s1 / d12,
+            a_fac * (alpha - s2) / d12,
+            b_fac * (alpha - s3) / d34,
+            b_fac * (1.0 - s4) / d34,
+        ]
+        return np.array(velocities), max(a_fac / d12, b_fac / d34)
 
     def valid(y):
         s1, s2, s3, s4 = y
@@ -305,36 +347,34 @@ def integrate_two_vortex(init: TwoVortexState, t_end: float) -> FrontTrajectory:
             and alpha - tol <= s3 < s4 <= 1.0 + tol
         )
 
-    ts, ys, ds, halted = _rk4_integrate(
-        rhs,
-        np.array([init.s1, init.s2, init.s3, init.s4]),
-        t_end,
-        m,
-        ubar,
-        gap_of=lambda y: min(y[1] - y[0], y[3] - y[2]),
-        valid=valid,
-        on_gap_collapse="halt",
-        kind="two-vortex",
+    return _rk4_integrate(
+        rhs, init, t_end, gap_of=lambda y: min(y[1] - y[0], y[3] - y[2]), valid=valid
     )
-    return FrontTrajectory("double", ts, ys, ds, init, halted_at=halted)
 
 
-def _hit_time(traj: FrontTrajectory, f: Callable[[float], float]) -> float:
-    """First root of f over the stored window via bisection, +inf if none."""
+def _hit_time(traj: FrontTrajectory, value_of: Callable[[np.ndarray], np.ndarray]) -> float:
+    """First root in time of value_of(positions) via bisection, +inf if none.
+
+    value_of maps positions (the last axis indexes the fronts) to values.
+    Hermite interpolation returns the stored positions exactly at the stored
+    times, so the scan for a sign change reads them directly.
+    """
     ts = traj.times
-    vals = np.array([f(t) for t in ts])
-    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
+    vals = value_of(traj.positions)
     if vals[0] == 0.0:
         return float(ts[0])
+    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
     if len(sign_change) == 0:
         return math.inf
-    lo, hi = float(ts[sign_change[0]]), float(ts[sign_change[0] + 1])
+    i = sign_change[0]
+    lo, hi, f_lo = float(ts[i]), float(ts[i + 1]), vals[i]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
+        f_mid = value_of(traj.interpolate(mid))
+        if f_lo * f_mid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, f_lo = mid, f_mid
         if hi - lo < 1e-13:
             break
     return 0.5 * (lo + hi)
@@ -350,94 +390,34 @@ def integrate_supersolution(init: SupersolutionState, t_end: float) -> FrontTraj
     ubar, m, alpha = init.ubar, init.m, init.alpha
     sp1 = init.sigma_prime_1
     fac = (1.0 - alpha) ** (m - 1.0) * ubar**m * sp1 ** (m - 1.0)
-    s1 = init.s1
 
     def rhs(y):
         s2, s3 = y
         denom = max(s3 - s2, _GAP_FLOOR) ** (m - 1.0)
-        return np.array(
-            [
-                -fac * (s3 - s2 + (1.0 - alpha) * sp1) / denom,
-                fac * (1.0 - s3) / denom,
-            ]
-        )
+        velocities = [-fac * (s3 - s2 + (1.0 - alpha) * sp1) / denom, fac * (1.0 - s3) / denom]
+        return np.array(velocities), fac / denom
 
-    ts, ys, ds, halted = _rk4_integrate(
-        rhs,
-        np.array([init.s2, init.s3]),
-        t_end,
-        m,
-        ubar,
-        gap_of=lambda y: y[1] - y[0],
-        valid=lambda y: y[1] <= 1.0 + 1e-12,
-        on_gap_collapse="halt",
-        kind="supersolution",
+    traj = _rk4_integrate(
+        rhs, init, t_end, gap_of=lambda y: y[1] - y[0], valid=lambda y: y[1] <= 1.0 + 1e-12
     )
-    traj = FrontTrajectory("super", ts, ys, ds, init, halted_at=halted)
-    traj.t_star = _hit_time(traj, lambda t: traj.interpolate(t)[0] - s1)
-    traj.t_upper = _hit_time(
-        traj, lambda t: 2.0 * traj.interpolate(t)[1] - (1.0 + init.s3)
-    )
+    traj.t_star = _hit_time(traj, lambda pos: pos[..., 0] - init.s1)
+    traj.t_upper = _hit_time(traj, lambda pos: 2.0 * pos[..., 1] - (1.0 + init.s3))
     return traj
 
 
-# --- piecewise evaluators ----------------------------------------------------
-
-def evaluate_single_k(state: SingleVortexState, s) -> np.ndarray:
-    """Three-piece profile: 0, rising ramp, plateau at the mass."""
-    s = np.asarray(s, dtype=float)
-    ramp = state.slope * (s - state.s1)
-    out = np.where(s < state.s1, 0.0, np.where(s < state.s2, ramp, state.ubar))
-    return out if out.ndim else float(out)
-
-
-def evaluate_two_k(state: TwoVortexState, s) -> np.ndarray:
-    """Five-piece profile with plateaus at 0, alpha * ubar, and ubar."""
-    s = np.asarray(s, dtype=float)
-    au = state.alpha * state.ubar
-    ramp1 = au * (s - state.s1) / (state.s2 - state.s1)
-    ramp2 = (state.ubar - au) * (s - state.s3) / (state.s4 - state.s3) + au
-    out = np.where(
-        s < state.s1,
-        0.0,
-        np.where(
-            s < state.s2,
-            ramp1,
-            np.where(s < state.s3, au, np.where(s < state.s4, ramp2, state.ubar)),
-        ),
-    )
-    return out if out.ndim else float(out)
-
-
-def evaluate_supersolution_k(state: SupersolutionState, s) -> np.ndarray:
-    """Four-piece profile whose middle ramp follows sigma(u) = u^(m/(m-1))."""
-    s = np.asarray(s, dtype=float)
-    ubar, alpha = state.ubar, state.alpha
-    gap = state.s3 - state.s2
-    u = np.clip((s - state.s2) / gap, 0.0, 1.0)
-    sigma = u ** (state.m / (state.m - 1.0))
-    ramp = sigma * (1.0 - alpha) * ubar + alpha * ubar
-    out = np.where(
-        s <= state.s1,
-        s / state.C,
-        np.where(s <= state.s2, alpha * ubar, np.where(s <= state.s3, ramp, ubar)),
-    )
-    return out if out.ndim else float(out)
-
-
-_EVALUATORS = {
-    "single": evaluate_single_k,
-    "double": evaluate_two_k,
-    "super": evaluate_supersolution_k,
+# fronts.mode -> (state class, integrator)
+FRONT_SYSTEMS = {
+    "single": (SingleVortexState, integrate_single_vortex),
+    "double": (TwoVortexState, integrate_two_vortex),
+    "super": (SupersolutionState, integrate_supersolution),
 }
 
 
 def k_evaluator(traj: FrontTrajectory) -> Callable[[float, np.ndarray], np.ndarray]:
     """Callable (t, s) -> k built from the integrated fronts."""
-    evaluate = _EVALUATORS[traj.kind]
 
     def k_of(t: float, s):
-        return evaluate(traj.state_at(t), s)
+        return traj.state_at(t).k(s)
 
     return k_of
 
@@ -446,12 +426,7 @@ def kink_locator(traj: FrontTrajectory) -> Callable[[float], np.ndarray]:
     """Callable t -> interface positions where the profile is not smooth."""
 
     def kinks(t: float) -> np.ndarray:
-        state = traj.state_at(t)
-        if traj.kind == "single":
-            return np.array([state.s1, state.s2])
-        if traj.kind == "double":
-            return np.array([state.s1, state.s2, state.s3, state.s4])
-        return np.array([state.s1, state.s2, state.s3])
+        return traj.state_at(t).kinks
 
     return kinks
 

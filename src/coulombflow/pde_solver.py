@@ -92,8 +92,8 @@ class SolverConfig:
         ):
             if not isinstance(value, _REAL):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
+        if not 0 < self.m < np.inf:
+            raise ValueError(f"m must be positive and finite, got {self.m}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0 < self.t_end < np.inf:
@@ -106,10 +106,12 @@ class SolverConfig:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if self.epsilon == "auto":
             eps = grid.h
-        elif isinstance(self.epsilon, _REAL) and self.epsilon >= 0:
+        elif isinstance(self.epsilon, _REAL) and 0 <= self.epsilon < np.inf:
             eps = float(self.epsilon)
         else:
-            raise ValueError(f"epsilon must be 'auto' or a number >= 0, got {self.epsilon!r}")
+            raise ValueError(
+                f"epsilon must be 'auto' or a finite number >= 0, got {self.epsilon!r}"
+            )
         if eps > 0 and self.cfl > 0.5:
             raise ValueError(
                 f"cfl must be <= 0.5 when epsilon > 0 (the advective and viscous "

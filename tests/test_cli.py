@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ from coulombflow.cli import main
 from coulombflow import csvio
 from coulombflow.csvio import read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
+from coulombflow.hj_fronts import integrate_supersolution
 from coulombflow.pde_solver import SolverConfig
 from coulombflow.torus_field import ScalarField, TorusGrid
 
@@ -48,6 +50,7 @@ def sim_ic(**ic):
 # only the section where key is None.
 MALFORMED = [
     pytest.param("simulate", sim_doc("solver", m="2"), "solver", "m", id="solver.m-str"),
+    pytest.param("simulate", sim_doc("solver", m=float("inf")), "solver", "m", id="solver.m-inf"),
     pytest.param("simulate", sim_doc("solver", cfl="x"), "solver", "cfl", id="solver.cfl-str"),
     pytest.param("simulate", sim_doc("solver", t_end=None), "solver", "t_end", id="solver.t_end-null"),
     pytest.param(
@@ -59,6 +62,10 @@ MALFORMED = [
     ),
     pytest.param(
         "simulate", sim_doc("solver", epsilon="h"), "solver", "epsilon", id="solver.epsilon-str"
+    ),
+    pytest.param(
+        "simulate", sim_doc("solver", epsilon=float("inf")), "solver", "epsilon",
+        id="solver.epsilon-inf",
     ),
     pytest.param("simulate", sim_doc("grid", n=16.0), "grid", "n", id="grid.n-float"),
     pytest.param(
@@ -88,6 +95,28 @@ MALFORMED = [
     pytest.param(
         "fronts", {"fronts": {"m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75}}, "fronts", "mode",
         id="fronts.mode-missing",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "double", "m": 2.0, "ubar": 1.0,
+                    "s1": 0.0, "s2": 0.3, "s3": 0.7, "s4": 1.0}},
+        "fronts", "alpha", id="fronts.alpha-missing",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "super", "m": 2.0, "ubar": 1.0, "alpha": 0.8, "s2": 0.35, "s3": 0.48}},
+        "fronts", "C", id="fronts.C-missing",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75, "t_end": "x"}},
+        "fronts", None, id="fronts.t_end-str",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75,
+                    "t_end": float("inf")}},
+        "fronts", None, id="fronts.t_end-inf",
     ),
 ]
 
@@ -226,7 +255,8 @@ class TestFronts:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "out"
         assert main(["fronts", "--config", cfg, "--out", str(out)]) == 0
-        _, cols = read_csv(out / "fronts.csv")
+        header, cols = read_csv(out / "fronts.csv")
+        assert header == ["t", "s1", "s2", "t_star_flag"]
         assert cols["s1"] == pytest.approx(0.25 * np.exp(-cols["t"]), abs=1e-8)
         assert cols["s2"] == pytest.approx(1 - 0.25 * np.exp(-cols["t"]), abs=1e-8)
 
@@ -241,9 +271,23 @@ class TestFronts:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "out"
         assert main(["fronts", "--config", cfg, "--out", str(out)]) == 0
-        _, cols = read_csv(out / "fronts.csv")
+        header, cols = read_csv(out / "fronts.csv")
+        assert header == ["t", "s1", "s2", "s3", "s4", "t_star_flag"]
         assert np.max(np.abs(cols["s1"])) == 0.0
         assert np.max(np.abs(cols["s4"] - 1.0)) == 0.0
+
+    def test_shipped_super_config_flags_t_star(self, tmp_path):
+        config = os.path.join(CONFIG_DIR, "fronts_super_m2.json")
+        out = tmp_path / "out"
+        assert main(["fronts", "--config", config, "--out", str(out)]) == 0
+        header, cols = read_csv(out / "fronts.csv")
+        assert header == ["t", "s2", "s3", "t_star_flag"]
+        run = load_config(config).fronts
+        t_star = integrate_supersolution(run.state, run.t_end).t_star
+        assert math.isfinite(t_star)
+        flag = cols["t_star_flag"]
+        assert np.all(flag[cols["t"] < t_star] == 0) and np.all(flag[cols["t"] >= t_star] == 1)
+        assert 0 < np.sum(flag) < len(flag)
 
     def test_super_hypothesis_violation_exit_2(self, tmp_path, capsys):
         doc = {

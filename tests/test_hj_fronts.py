@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from coulombflow import hj_fronts
 from coulombflow.hj_fronts import (
     FRONT_BOUND_CONSTANTS,
     FrontIntegrationError,
     SingleVortexState,
     SupersolutionState,
     TwoVortexState,
+    _hit_time,
     calibrate_front_constants,
     comparison_check,
     envelope_margins,
-    evaluate_single_k,
-    evaluate_supersolution_k,
-    evaluate_two_k,
     integrate_single_vortex,
     integrate_supersolution,
     integrate_two_vortex,
@@ -26,10 +25,32 @@ from coulombflow.hj_fronts import (
 from coulombflow.suites import COMPARISON_STATE, envelope_front
 
 
+def _hit_time_reference(traj, f):
+    """First root of f(t), scanning f at every stored time by interpolation."""
+    ts = traj.times
+    vals = np.array([f(t) for t in ts])
+    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
+    if vals[0] == 0.0:
+        return float(ts[0])
+    if len(sign_change) == 0:
+        return math.inf
+    lo, hi = float(ts[sign_change[0]]), float(ts[sign_change[0] + 1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(lo) * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestSingleVortex:
-    def test_m1_exact_exponentials(self):
-        traj = integrate_single_vortex(SingleVortexState(0.25, 0.75, 1.0, 1.0), 2.0)
-        for t in np.linspace(0, 2, 21):
+    @pytest.mark.parametrize("t_end", [2.0, 40.0])
+    def test_m1_exact_exponentials(self, t_end):
+        traj = integrate_single_vortex(SingleVortexState(0.25, 0.75, 1.0, 1.0), t_end)
+        for t in np.linspace(0, t_end, 21):
             s1, s2 = traj.interpolate(t)
             assert s1 == pytest.approx(0.25 * math.exp(-t), abs=1e-8)
             assert s2 == pytest.approx(1 - 0.25 * math.exp(-t), abs=1e-8)
@@ -39,8 +60,9 @@ class TestSingleVortex:
         assert np.max(np.abs(traj.positions[:, 0])) == 0.0
         assert np.max(np.abs(traj.positions[:, 1] - 1.0)) == 0.0
 
-    def test_ordering_preserved_and_monotone(self):
-        traj = integrate_single_vortex(SingleVortexState(0.2, 0.6, 1.0, 3.0), 2.0)
+    @pytest.mark.parametrize("m, t_end", [(3.0, 2.0), (2.0, 30.0), (3.0, 30.0)])
+    def test_ordering_preserved_and_monotone(self, m, t_end):
+        traj = integrate_single_vortex(SingleVortexState(0.2, 0.6, 1.0, m), t_end)
         s1, s2 = traj.positions[:, 0], traj.positions[:, 1]
         assert np.all(np.diff(s1) <= 1e-15)
         assert np.all(np.diff(s2) >= -1e-15)
@@ -48,10 +70,10 @@ class TestSingleVortex:
 
     def test_mass_boundary_value(self):
         state = SingleVortexState(0.1, 0.6, 1.4, 2.0)
-        assert evaluate_single_k(state, 1.0) == pytest.approx(1.4)
-        assert evaluate_single_k(state, 0.05) == 0.0
+        assert state.k(1.0) == pytest.approx(1.4)
+        assert state.k(0.05) == 0.0
         mid = 0.5 * (state.s1 + state.s2)
-        assert evaluate_single_k(state, mid) == pytest.approx(0.7)
+        assert state.k(mid) == pytest.approx(0.7)
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
@@ -59,11 +81,12 @@ class TestSingleVortex:
 
 
 class TestTwoVortex:
-    def test_m1_exact(self):
+    @pytest.mark.parametrize("t_end", [1.5, 20.0])
+    def test_m1_exact(self, t_end):
         traj = integrate_two_vortex(
-            TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 1.0), 1.5
+            TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 1.0), t_end
         )
-        for t in np.linspace(0, 1.5, 16):
+        for t in np.linspace(0, t_end, 16):
             s = traj.interpolate(t)
             assert s[0] == pytest.approx(0.1 * math.exp(-t), abs=1e-8)
             assert s[1] == pytest.approx(0.5 - 0.2 * math.exp(-t), abs=1e-8)
@@ -92,10 +115,10 @@ class TestTwoVortex:
                 (st.s3, st.alpha * st.ubar),
                 (st.s4, st.ubar),
             ]:
-                below = evaluate_two_k(st, s_if - eps)
-                above = evaluate_two_k(st, s_if + eps)
+                below = st.k(s_if - eps)
+                above = st.k(s_if + eps)
                 assert abs(above - below) < 1e-9
-                assert abs(evaluate_two_k(st, s_if) - val) < 1e-9
+                assert abs(st.k(s_if) - val) < 1e-9
 
     def test_is_viscosity_solution(self):
         traj = integrate_two_vortex(
@@ -118,12 +141,12 @@ class TestSupersolution:
 
     def test_piece_values(self):
         st = COMPARISON_STATE
-        assert evaluate_supersolution_k(st, st.s1) == pytest.approx(0.8)
-        assert evaluate_supersolution_k(st, st.s2) == pytest.approx(0.8)
-        assert evaluate_supersolution_k(st, st.s3) == pytest.approx(1.0)
-        assert evaluate_supersolution_k(st, 0.9) == pytest.approx(1.0)
+        assert st.k(st.s1) == pytest.approx(0.8)
+        assert st.k(st.s2) == pytest.approx(0.8)
+        assert st.k(st.s3) == pytest.approx(1.0)
+        assert st.k(0.9) == pytest.approx(1.0)
         s_grid = np.linspace(0, 1, 301)
-        vals = evaluate_supersolution_k(st, s_grid)
+        vals = st.k(s_grid)
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_residual_supersolution_sign(self):
@@ -141,6 +164,36 @@ class TestSupersolution:
         assert np.all(np.diff(traj.positions[:, 1]) >= -1e-15)
         s2_at_star = traj.interpolate(traj.t_star)[0]
         assert s2_at_star == pytest.approx(st.s1, abs=1e-9)
+
+    @pytest.mark.parametrize("horizon", [0.01, 0.5, 1.0, "envelope"])
+    def test_hit_times_match_interpolating_scan(self, horizon):
+        if horizon == "envelope":
+            traj = envelope_front(2.0)
+        else:
+            traj = integrate_supersolution(COMPARISON_STATE, horizon)
+        st = traj.state0
+        t_star = _hit_time_reference(traj, lambda t: traj.interpolate(t)[0] - st.s1)
+        t_upper = _hit_time_reference(traj, lambda t: 2.0 * traj.interpolate(t)[1] - (1.0 + st.s3))
+        assert _hit_time(traj, lambda pos: pos[..., 0] - st.s1) == t_star
+        assert (traj.t_star, traj.t_upper) == (t_star, t_upper)
+
+    def test_rk4_reuses_stored_derivative(self, monkeypatch):
+        calls = 0
+        integrate = hj_fronts._rk4_integrate
+
+        def counting(rhs, *args, **kwargs):
+            def counted(y):
+                nonlocal calls
+                calls += 1
+                return rhs(y)
+
+            return integrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(hj_fronts, "_rk4_integrate", counting)
+        traj = integrate_supersolution(COMPARISON_STATE, 0.5)
+        steps = len(traj.times) - 1
+        assert traj.halted_at is None and steps > 1000
+        assert calls == 4 * steps + 1
 
     def test_unreached_hitting_time_is_inf(self):
         traj = integrate_supersolution(COMPARISON_STATE, 0.01)
@@ -191,7 +244,7 @@ class TestTwoVortexAgainstSimulation:
         worst = 0.0
         for t, f in traj.snapshots:
             k_sim = np.cumsum(f.values) * g.h
-            k_ode = evaluate_two_k(tv.state_at(t), x_edges)
+            k_ode = tv.state_at(t).k(x_edges)
             worst = max(worst, float(np.max(np.abs(k_sim - k_ode))))
         assert worst <= max(0.02, 3.0 / n)
 
