@@ -3,13 +3,13 @@
 One JSON document per experiment.  Unknown sections and keys are rejected
 with the offending key named.  Every other rule is checked once, by the code
 that uses the section, all at load time: `make_grid` checks the grid,
-`build_initial_condition` the initial data, `SolverConfig.validate` the
-solver, and the state class that `fronts.mode` names the front system.
+`build_initial_condition` the initial data, `SolverConfig` when it is built
+the solver, and the state class that `fronts.mode` names the front system.
 Their errors become a `ConfigError` that names the section, and for the grid,
 the solver, `verify.n` and a missing `fronts` key the key.  This module
 checks only what no owner does: `output_times` within (0, t_end], `mollify`
-"off" or a width > 0, `fronts.t_end` positive and finite, and
-`outputs.formats`.
+"off" or a width > 0, `fronts.t_end` positive and finite, no `fronts` key
+that the chosen mode does not use, and `outputs.formats`.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class ExperimentConfig:
 def _owned(section: str, keyed: bool = False):
     """Re-raise what a section's owner raises as a ConfigError naming the section.
 
-    Keyed owners (make_grid, SolverConfig.validate) begin each ValueError with
-    the offending key, which then reads `section.key ...`.
+    Keyed owners (make_grid, SolverConfig when it is built) begin each
+    ValueError with the offending key, which then reads `section.key ...`.
     """
     try:
         yield
@@ -113,7 +113,6 @@ def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict)
     width = _mollify_width(ic, cfg.grid)
     with _owned("solver", keyed=True):
         cfg.solver = SolverConfig(**solver, mollify_width=width)
-        cfg.solver.validate(cfg.grid)
     times = cfg.solver.output_times
     if not isinstance(times, (list, tuple)) or not all(
         isinstance(t, numbers.Real) and 0 < t <= cfg.solver.t_end for t in times
@@ -130,7 +129,11 @@ def _build_fronts(fronts: dict) -> FrontRun:
         if not (isinstance(t_end, numbers.Real) and 0 < t_end < math.inf):
             raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
         cls = FRONT_SYSTEMS[mode][0]
-        state = cls(**{f.name: fronts[f.name] for f in dataclasses.fields(cls)})
+        names = [f.name for f in dataclasses.fields(cls)]
+        state = cls(**{name: fronts[name] for name in names})
+    unused = fronts.keys() - {"mode", "t_end", *names}
+    if unused:
+        raise ConfigError(f"fronts.{min(unused)} is not used by mode {mode!r}; it takes {names}")
     return FrontRun(mode, state, t_end)
 
 

@@ -432,17 +432,14 @@ def kink_locator(traj: FrontTrajectory) -> Callable[[float], np.ndarray]:
 
 
 def smooth_samples(
-    traj: FrontTrajectory,
-    n_times: int = 12,
-    fractions: Sequence[float] = (0.3, 0.5, 0.7),
-    guard: float = 1e-3,
-    t_max: Optional[float] = None,
+    traj: FrontTrajectory, n_times: int = 12, t_max: Optional[float] = None
 ) -> list[tuple[float, float]]:
-    """Sample points (t, s) in the interior of every smooth piece.
+    """Sample points (t, s) at 30, 50 and 70 percent of every smooth piece.
 
-    Points closer than `guard` to a moving interface are dropped, as are
+    Points closer than 1e-3 to a moving interface are dropped, as are
     times too close to the window ends for a centered time difference.
     """
+    guard = 1e-3
     t_hi = min(traj.t_end, t_max if t_max is not None else traj.t_end)
     if traj.halted_at is not None:
         t_hi = min(t_hi, traj.halted_at)
@@ -454,7 +451,7 @@ def smooth_samples(
         for a, b in zip(pos[:-1], pos[1:]):
             if b - a < 4 * guard:
                 continue
-            for f in fractions:
+            for f in (0.3, 0.5, 0.7):
                 s = a + f * (b - a)
                 if s - a >= guard and b - s >= guard:
                     out.append((float(t), float(s)))
@@ -468,15 +465,15 @@ def viscosity_residual(
     kind: str,
     samples: Iterable[tuple[float, float]],
     kinks: Optional[Callable[[float], np.ndarray]] = None,
-    delta: float = 1e-5,
 ) -> float:
     """Worst signed residual dk/dt + (ds k)_+^m (k - s ubar) at smooth samples.
 
     kind="sub" returns the max (compliant when <= tol); kind="super" returns
     the min (compliant when >= -tol).  Central finite differences with step
-    delta; samples must keep a 2-delta margin from any kink, enforced when a
-    kink locator is supplied.
+    delta = 1e-5; samples must keep a 2-delta margin from any kink, enforced
+    when a kink locator is supplied.
     """
+    delta = 1e-5
     if kind not in ("sub", "super"):
         raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
     worst = -math.inf if kind == "sub" else math.inf
@@ -577,13 +574,7 @@ def envelope_margins(traj: FrontTrajectory) -> dict[str, float]:
 
 # --- one-time calibration of the front-tracking constants --------------------
 
-def calibrate_front_constants(
-    m: float,
-    configs: Optional[Sequence[SupersolutionState]] = None,
-    t_end: float = 2.0,
-    t_lo: float = 1e-5,
-    n_grid: int = 200,
-) -> dict[str, float]:
+def calibrate_front_constants(m: float) -> dict[str, float]:
     """Measure the extremal constants of the supersolution front envelopes.
 
     The analytic statements assert the existence of m-dependent constants
@@ -598,26 +589,23 @@ def calibrate_front_constants(
 
     The sweep integrates a family of admissible configurations with a nearly
     collapsed initial gap (the regime the t^(1/m) envelopes describe; with an
-    order-one initial gap the advance ratio degenerates at small times),
-    samples the ratios on a log time grid, and records the extremes.  The
-    output is frozen in FRONT_BOUND_CONSTANTS and reused by the verification
-    suite with small safety margins.  The constants are invariant under
+    order-one initial gap the advance ratio degenerates at small times) to
+    t = 2, samples the ratios on 200 log-spaced times from 1e-5, and records
+    the extremes.  The output is frozen in FRONT_BOUND_CONSTANTS and reused
+    by the verification suite with small safety margins.  The constants are invariant under
     rescaling of ubar (the dynamics depends on ubar only through ubar^m t),
     so the sweep varies alpha and the front positions at ubar = 1.
     """
     gap0 = 3e-4
-    if configs is None:
-        sp1 = m / (m - 1.0)
-        alpha_lo = 1.0 - 0.5 / sp1  # tightest admissible alpha
-        configs = []
-        for alpha in (alpha_lo, 0.5 * (alpha_lo + 1.0), 0.95):
-            if not alpha_lo - 1e-12 <= alpha < 1:
-                continue
-            for s0 in (0.3, 0.5, 0.7):
-                state = SupersolutionState(
-                    C=0.25, alpha=alpha, s2=s0, s3=s0 + gap0, ubar=1.0, m=m
-                )
-                configs.append(state)
+    sp1 = m / (m - 1.0)
+    alpha_lo = 1.0 - 0.5 / sp1  # tightest admissible alpha
+    configs = []
+    for alpha in (alpha_lo, 0.5 * (alpha_lo + 1.0), 0.95):
+        if not alpha_lo - 1e-12 <= alpha < 1:
+            continue
+        for s0 in (0.3, 0.5, 0.7):
+            state = SupersolutionState(C=0.25, alpha=alpha, s2=s0, s3=s0 + gap0, ubar=1.0, m=m)
+            configs.append(state)
     out = {
         "c_retreat": 0.0,
         "c_advance": math.inf,
@@ -626,9 +614,9 @@ def calibrate_front_constants(
         "c_tstar": math.inf,
     }
     for state in configs:
-        traj = integrate_supersolution(state, t_end)
+        traj = integrate_supersolution(state, 2.0)
         t_hi = min(traj.t_end, traj.halted_at or math.inf)
-        ts = np.geomspace(t_lo, t_hi, n_grid)
+        ts = np.geomspace(1e-5, t_hi, 200)
         pos = np.array([traj.interpolate(t) for t in ts])
         s2, s3 = pos[:, 0], pos[:, 1]
         scale = state.ubar * ts ** (1.0 / m)

@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 _DT_UNDERFLOW = 1e-14
-# int and float come first: they skip the slow abstract-base-class check in
-# SolverConfig.validate, which runs on every step
-_REAL = (int, float, numbers.Real)
-_INTEGER = (int, numbers.Integral)
 _NEGATIVITY_GUARD = 1e-13
 
 
@@ -59,17 +55,18 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Parameters of one integration run.
+    """Parameters of one integration run, checked once when built.
 
     epsilon = "auto" resolves to the cell width h when the run starts. A
     positive floor on the initial minimum is mandatory when m < 1 (the
     mobility is not Lipschitz at zero density). mollify_width > 0 smooths the
     initial data with a spectral Gaussian of that standard deviation. The
     advective and viscous step bounds are each scaled by cfl and the update is
-    monotone only while they sum to at most 1, so a positive resolved
-    viscosity needs cfl <= 0.5; with epsilon = 0, cfl may go up to 1.
+    monotone only while they sum to at most 1, so a positive viscosity
+    ("auto" included, since h > 0) needs cfl <= 0.5; with epsilon = 0, cfl may
+    go up to 1.
     """
 
     m: float
@@ -81,16 +78,13 @@ class SolverConfig:
     mollify_width: float = 0.0
     record_every: int = 1
 
-    def validate(self, grid: TorusGrid) -> float:
-        """Check invariants and return the resolved viscosity.
-
-        Each error message begins with the name of the offending field.
-        """
+    def __post_init__(self):
+        """Check the invariants; each error message begins with the offending field."""
         for name, value in (
             ("m", self.m), ("cfl", self.cfl), ("t_end", self.t_end),
             ("floor_m_lt_1", self.floor_m_lt_1),
         ):
-            if not isinstance(value, _REAL):
+            if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.m < np.inf:
             raise ValueError(f"m must be positive and finite, got {self.m}")
@@ -102,22 +96,22 @@ class SolverConfig:
             raise ValueError(
                 f"floor_m_lt_1 must be positive when m < 1, got {self.floor_m_lt_1}"
             )
-        if not isinstance(self.record_every, _INTEGER) or self.record_every < 1:
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if self.epsilon == "auto":
-            eps = grid.h
-        elif isinstance(self.epsilon, _REAL) and 0 <= self.epsilon < np.inf:
-            eps = float(self.epsilon)
-        else:
+        auto = self.epsilon == "auto"
+        if not (auto or (isinstance(self.epsilon, numbers.Real) and 0 <= self.epsilon < np.inf)):
             raise ValueError(
                 f"epsilon must be 'auto' or a finite number >= 0, got {self.epsilon!r}"
             )
-        if eps > 0 and self.cfl > 0.5:
+        if (auto or self.epsilon > 0) and self.cfl > 0.5:
             raise ValueError(
                 f"cfl must be <= 0.5 when epsilon > 0 (the advective and viscous "
                 f"bounds are each scaled by cfl and must sum to at most 1), got {self.cfl}"
             )
-        return eps
+
+    def epsilon_at(self, grid: TorusGrid) -> float:
+        """The viscosity on `grid`: its cell width h for "auto"."""
+        return grid.h if self.epsilon == "auto" else float(self.epsilon)
 
 
 @dataclass
@@ -236,7 +230,7 @@ def cfl_dt(
 ) -> float:
     """Stable explicit step: advective and viscous bounds, clamped to outputs."""
     grid = u.grid
-    eps = cfg.validate(grid)
+    eps = cfg.epsilon_at(grid)
     if faces is None:
         faces = coulomb_drift(grid, np.fft.fftn(u.values))
     vmax = max(float(np.abs(w).max()) for w in faces)
@@ -281,7 +275,6 @@ def _euler_update(
 def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     """One forward-Euler conservative update; dt must respect cfl_dt."""
     grid = u.grid
-    eps = cfg.validate(grid)
     lo, hi = float(u.values.min()), float(u.values.max())
     if lo < -_NEGATIVITY_GUARD:
         raise SolverError("negative input density")
@@ -292,6 +285,7 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
     mob = _mobility(u.values, cfg.m)
+    eps = cfg.epsilon_at(grid)
     return ScalarField(grid, _euler_update(grid, u.values, mob, faces, dt, eps))
 
 
@@ -330,7 +324,7 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
     same left-endpoint rule as the Euler update.
     """
     grid = u0.grid
-    eps = cfg.validate(grid)
+    eps = cfg.epsilon_at(grid)
     if float(np.min(u0.values)) < 0.0:
         raise SolverError("initial data must be nonnegative")
     if cfg.m < 1 and float(np.min(u0.values)) < cfg.floor_m_lt_1:

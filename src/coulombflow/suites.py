@@ -198,10 +198,11 @@ def _task_front_exactness() -> list[CheckResult]:
     ]
 
 
-def _task_supersolution_bounds(m: float = 2.0) -> list[CheckResult]:
-    """Envelope bounds with the frozen calibrated constants, log time grid."""
-    traj = envelope_front(m)
+def _task_supersolution_bounds() -> list[CheckResult]:
+    """Envelope bounds at m = 2 with the frozen calibrated constants, log time grid."""
+    traj = envelope_front(2.0)
     state = traj.state0
+    m = state.m
     ke, kk = k_evaluator(traj), kink_locator(traj)
     samples = smooth_samples(traj, n_times=10, t_max=traj.t_star)
     out = [
@@ -242,8 +243,9 @@ def _edge_classification(u0: ScalarField, m: float) -> tuple[str, tuple]:
     return waiting_time_indicator(u0, m, support_measure(u0, 1e-8 * float(np.max(u0.values))))
 
 
-def _task_waiting_time(n: int = 512) -> list[CheckResult]:
-    runs = waiting_time_runs(n)
+def _task_waiting_time() -> list[CheckResult]:
+    """The m = 4 waiting-time study at n = 512, whatever the suite's n."""
+    runs = waiting_time_runs(512)
     m = runs["m"]
     ind = _edge_classification(runs["jump"].snapshots[0][1], m)
     ind_c = _edge_classification(runs["critical_u0"], m)

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_VERSION = 1
+# time by which support growth from jump data must show
+_GROWTH_DEADLINE = 0.2
 
 
 @dataclass
@@ -115,18 +117,19 @@ def check_conservation_and_monotonicity(traj: Trajectory) -> list[CheckResult]:
     return out
 
 
-def check_barriers(traj: Trajectory, tol_factor: float = 0.02) -> list[CheckResult]:
+def check_barriers(traj: Trajectory) -> list[CheckResult]:
     """Comparison-curve envelopes for max and min, plus the universal sup bound.
 
-    For m < 1 additionally checks the explicit fast-diffusion lower barrier
-    with a 10 percent slack, on times past an initial transient.
+    Both envelopes hold within 0.02 ubar.  For m < 1 additionally checks the
+    explicit fast-diffusion lower barrier with a 10 percent slack, on times
+    past an initial transient.
     """
     obs = traj.observables
     u0 = traj.snapshots[0][1]
     ubar = mean(u0)
     m = traj.m
     min0, max0 = float(np.min(u0.values)), float(np.max(u0.values))
-    tol = tol_factor * ubar
+    tol = 0.02 * ubar
     ts = obs.t
 
     hi = phi_curve(BarrierParams(ubar=ubar, beta=max0, m=m), ts)
@@ -170,16 +173,15 @@ def _fitted_log_slope(times: np.ndarray, values: np.ndarray) -> float:
 
 
 def check_asymptotics(
-    traj: Trajectory,
-    norms: Sequence[str] = ("l1", "linf", "hm1"),
-    rate_slack: float = 0.15,
+    traj: Trajectory, norms: Sequence[str] = ("l1", "linf", "hm1")
 ) -> list[CheckResult]:
     """Least-squares decay slopes of u - ubar over the second half of the run.
 
     Required rates: L1 at ubar^m for every m; the energy norm at c^m
     (c = initial minimum) for m >= 1, and any positive rate for m < 1 where
     the analytic constant is unspecified; sup norm at the slower of the two
-    exponentials appearing in its two-term bound.
+    exponentials appearing in its two-term bound.  Each fitted slope must
+    reach its required rate within 15 percent.
     """
     u0 = traj.snapshots[0][1]
     ubar = mean(u0)
@@ -214,7 +216,7 @@ def check_asymptotics(
         if name == "hm1" and m < 1:
             required = 1e-6  # exponential decay with some positive rate
         else:
-            required = rates[name] * (1.0 - rate_slack)
+            required = rates[name] * (1.0 - 0.15)
         out.append(
             CheckResult.from_measurement(
                 f"decay-rate-{name}",
@@ -231,14 +233,14 @@ def check_asymptotics(
     return out
 
 
-def waiting_window(u0: ScalarField, m: float, kappa_w: float = 20.0) -> float:
+def waiting_window(u0: ScalarField, m: float) -> float:
     """Estimated time span on which gradient control is guaranteed.
 
     Shape of the local well-posedness bound: inverse of
     [ (c^(m-2) + |u0|_inf^(m-2)) |u0|_inf + c^(m-1) + |u0|_inf^(m-1) ] times
     the sup-norm of the centred-difference |grad u0|, with a one-time calibrated
-    prefactor kappa_w (frozen against the measured support-stasis plateau of
-    the Lipschitz reference datum at n = 512).
+    prefactor kappa_w = 20 (frozen against the measured support-stasis plateau
+    of the Lipschitz reference datum at n = 512).
     """
     vals = u0.values
     sup = float(np.max(vals))
@@ -251,27 +253,21 @@ def waiting_window(u0: ScalarField, m: float, kappa_w: float = 20.0) -> float:
     cm2 = c ** (m - 2.0) if c > 0 else (0.0 if m > 2 else math.inf)
     cm1 = c ** (m - 1.0) if c > 0 else (0.0 if m > 1 else math.inf)
     bracket = (cm2 + sup ** (m - 2.0)) * sup + cm1 + sup ** (m - 1.0)
-    return kappa_w / (bracket * grad)
+    return 20.0 / (bracket * grad)
 
 
-def check_waiting_time(
-    traj: Trajectory,
-    indicator: tuple[str, tuple],
-    theta: Optional[float] = None,
-    growth_deadline: float = 0.2,
-    window: Optional[float] = None,
-) -> CheckResult:
+def check_waiting_time(traj: Trajectory, indicator: tuple[str, tuple]) -> CheckResult:
     """Cross-validate the edge-mass classifier against measured support.
 
-    diverges: the support must exceed its initial value by three cells at
-    some recorded time up to the deadline.  finite: the support must stay
-    within three cells of its initial value for all recorded times inside
-    the gradient-control window.  An inconclusive classification propagates.
+    The support is where u exceeds 1e-8 max(u0).  diverges: the support must
+    exceed its initial value by three cells at some recorded time up to
+    t = 0.2.  finite: the support must stay within three cells of its initial
+    value for all recorded times inside the gradient-control window
+    `waiting_window`.  An inconclusive classification propagates.
     """
     classification = indicator[0]
     u0 = traj.snapshots[0][1]
-    if theta is None:
-        theta = 1e-8 * float(np.max(u0.values))
+    theta = 1e-8 * float(np.max(u0.values))
     cm = traj.grid.cell_measure
     s0 = support_measure(u0, theta)
     times = traj.times
@@ -281,7 +277,7 @@ def check_waiting_time(
     if classification == "inconclusive":
         return CheckResult.inconclusive("support-growth", theta=theta, s0=s0)
     if classification == "diverges":
-        sel = times <= growth_deadline + 1e-12
+        sel = times <= _GROWTH_DEADLINE + 1e-12
         # violation <= 0 iff some recorded support reaches s0 + delta
         measured = s0 + delta - float(np.max(svals[sel]))
         return CheckResult.from_measurement(
@@ -291,10 +287,9 @@ def check_waiting_time(
             0.0,
             theta=theta,
             s0=s0,
-            deadline=growth_deadline,
+            deadline=_GROWTH_DEADLINE,
         )
-    if window is None:
-        window = waiting_window(u0, traj.m)
+    window = waiting_window(u0, traj.m)
     sel = times <= window + 1e-12
     measured = float(np.max(svals[sel])) - (s0 + delta)
     return CheckResult.from_measurement(
@@ -348,15 +343,12 @@ def check_weak_strong(
 
 
 def check_subsolution(
-    profiles: Sequence[tuple[float, RearrangedProfile]],
-    m: float,
-    ubar: float,
-    tol_factor: float = 0.05,
+    profiles: Sequence[tuple[float, RearrangedProfile]], m: float, ubar: float
 ) -> CheckResult:
-    """Rearranged primitive obeys its one-sided evolution inequality."""
+    """Rearranged primitive obeys its one-sided evolution inequality within 0.05 ubar^2."""
     r = subsolution_residual(profiles, m, ubar)
     return CheckResult.from_measurement(
-        "rearranged-subsolution", r, 0.0, tol_factor * ubar**2, m=m, ubar=ubar
+        "rearranged-subsolution", r, 0.0, 0.05 * ubar**2, m=m, ubar=ubar
     )
 
 

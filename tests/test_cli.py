@@ -118,6 +118,12 @@ MALFORMED = [
                     "t_end": float("inf")}},
         "fronts", None, id="fronts.t_end-inf",
     ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75,
+                    "C": 5.0, "alpha": 0.3, "s4": 2}},
+        "fronts", "C", id="fronts.key-of-another-mode",
+    ),
 ]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,17 @@ class TestCflDt:
         u0 = ScalarField(g, np.where((x > 0.25) & (x < 0.75), 2.0, 0.0))
         with pytest.raises(ValueError, match="cfl"):
             run(u0, SolverConfig(m=2.0, epsilon="auto", cfl=0.95, t_end=0.1))
-        assert SolverConfig(m=2.0, epsilon=0.0, cfl=1.0).validate(g) == 0.0
+        assert SolverConfig(m=2.0, epsilon=0.0, cfl=1.0).epsilon_at(g) == 0.0
+
+    def test_config_checked_when_built(self):
+        # no grid and no run: the rules hold for the config alone
+        with pytest.raises(ValueError, match="^cfl"):
+            SolverConfig(m=2.0, cfl=0.95)
+        with pytest.raises(ValueError, match="^floor_m_lt_1"):
+            SolverConfig(m=0.5)
+        cfg = SolverConfig(m=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.cfl = 0.95
 
     def test_underflow_rejected(self):
         u = cosine(64)
@@ -261,7 +273,7 @@ def _run_reference(u0, cfg):
     """
     grid = u0.grid
     h, cm, m = grid.h, grid.cell_measure, cfg.m
-    eps = cfg.validate(grid)
+    eps = cfg.epsilon_at(grid)
     u0 = mollify(u0, cfg.mollify_width)
     outputs = []
     for t in sorted(float(t) for t in cfg.output_times if 0.0 < t <= cfg.t_end):
