@@ -21,7 +21,7 @@ from coulombflow.config import ConfigError, load_config
 from coulombflow.csvio import read_csv, write_csv
 from coulombflow.hj_fronts import FRONT_SYSTEMS
 from coulombflow.pde_solver import SolverError, run
-from coulombflow.rearrangement import rearrange, support_measure
+from coulombflow.rearrangement import rearrange, support_measure, support_threshold
 from coulombflow.suites import run_suite
 from coulombflow.svgplot import write_line_chart
 from coulombflow.verify import emit_report
@@ -72,8 +72,7 @@ def cmd_simulate(args) -> int:
             obs.grad_sup,
         ],
     )
-    theta = 1e-8 * float(np.max(traj.snapshots[0][1].values))
-    support_rows = []
+    theta = support_threshold(traj.snapshots[0][1])
     for t, f in traj.snapshots:
         tag = _t_tag(t)
         if grid.dim == 1:
@@ -95,12 +94,8 @@ def cmd_simulate(args) -> int:
             ["s", "u_star", "k"],
             [prof.s_midpoints, prof.u_star, prof.k_at_midpoints()],
         )
-        support_rows.append((t, support_measure(f, theta)))
-    write_csv(
-        os.path.join(out_dir, "support.csv"),
-        ["t", "S"],
-        [np.array([r[0] for r in support_rows]), np.array([r[1] for r in support_rows])],
-    )
+    support = np.array([support_measure(f, theta) for _, f in traj.snapshots])
+    write_csv(os.path.join(out_dir, "support.csv"), ["t", "S"], [traj.times, support])
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(
             {
@@ -123,11 +118,10 @@ def cmd_simulate(args) -> int:
             ylabel="value",
             title="run observables",
         )
-        sup = np.array([r[1] for r in support_rows])
         write_line_chart(
             os.path.join(out_dir, "support.svg"),
-            np.array([r[0] for r in support_rows]),
-            {"S": sup},
+            traj.times,
+            {"S": support},
             xlabel="t",
             ylabel="support measure",
             title="support vs time",

@@ -427,54 +427,42 @@ def _bump(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_bump_bank(grid: TorusGrid, t0: float, t1: float) -> list[Callable]:
-    """Fixed reproducible bank of space-time test bumps.
+def default_bump_bank(grid: TorusGrid, t0: float, t1: float) -> Callable[[float], np.ndarray]:
+    """Fixed reproducible bank of 16 space-time test bumps, profiles built once.
 
-    Eight space-time centers, two spatial widths (4h and 8h), temporal
-    half-width 0.3 of the window, vanishing at both window ends.
+    Two time centers, four x centers and two widths (4h and 8h), in that
+    order; temporal half-width 0.3 of the window, vanishing at both window
+    ends.  Returns t -> the (16, *grid.shape) array of (amp(t) * b_x1) * b_x2.
     """
     span = t1 - t0
-    t_centers = [t0 + 0.35 * span, t0 + 0.65 * span]
+    t_centers = np.array([t0 + 0.35 * span, t0 + 0.65 * span])
     wt = 0.3 * span
     if grid.dim == 1:
         x_centers = [(0.125,), (0.375,), (0.625,), (0.875,)]
     else:
         x_centers = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
     coords = grid.coordinates()
-    bank = []
-    for tc in t_centers:
-        for xc in x_centers:
-            for width in (4.0 * grid.h, 8.0 * grid.h):
+    factors = []  # one (8, *grid.shape) b_x per axis, (x center, width) in bank order
+    for axis in range(grid.dim):
+        d = [coords[axis] - xc[axis] for xc in x_centers]
+        d = [di - np.round(di) for di in d]  # periodic distance
+        factors.append(np.array([_bump(di / w) for di in d for w in (4.0 * grid.h, 8.0 * grid.h)]))
 
-                def make(tc=tc, xc=xc, width=width):
-                    def phi(t: float) -> np.ndarray:
-                        amp = float(_bump(np.array([(t - tc) / wt]))[0])
-                        if amp == 0.0:
-                            return np.zeros(grid.shape)
-                        out = np.full(grid.shape, amp)
-                        for axis in range(grid.dim):
-                            d = coords[axis] - xc[axis]
-                            d = d - np.round(d)  # periodic distance
-                            out = out * _bump(d / width)
-                        return out
+    def bank(t: float) -> np.ndarray:
+        out = _bump((t - t_centers) / wt).reshape((-1, 1) + (1,) * grid.dim)
+        for f in factors:
+            out = out * f
+        return out.reshape((-1,) + grid.shape)
 
-                    return phi
-
-                bank.append(make())
     return bank
 
 
-def entropy_residual(
-    traj: Trajectory,
-    cfg: SolverConfig,
-    kappas: Sequence[float],
-    bank: Optional[list[Callable]] = None,
-) -> float:
+def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float]) -> float:
     """Most negative Kruzhkov weak-form residual over the bump bank.
 
     For eta_kappa(u) = |u - kappa| and q_kappa(u) = sgn(u - kappa)(u^m - kappa^m)
-    the inequality tested is, against nonnegative phi vanishing at both window
-    ends,
+    the inequality tested is, against the nonnegative bumps phi of
+    `default_bump_bank` (one array per snapshot), which vanish at both ends,
 
         sum_n [ <eta(u^n), phi^{n+1} - phi^n>
                 - dt_n <q-upwind-flux^n, grad_h phi^{n+1}>
@@ -501,8 +489,7 @@ def entropy_residual(
     cm = grid.cell_measure
     m = cfg.m
     ubar = mean(snaps[0][1])
-    if bank is None:
-        bank = default_bump_bank(grid, times[0], times[-1])
+    bank = default_bump_bank(grid, times[0], times[-1])
 
     kap = np.asarray(kappas, dtype=float).reshape((-1,) + (1,) * grid.dim)
     km = kap**m
@@ -513,13 +500,13 @@ def entropy_residual(
 
     # Kappa-dependent terms are (K, N) arrays and bump-dependent ones (B, N),
     # so each pairing of the weak form is one (K, N) @ (N, B) product.
-    p_now = np.array([phi(times[0]) for phi in bank])
-    totals = np.zeros((len(kappas), len(bank)))
+    p_now = bank(times[0])
+    totals = np.zeros((len(kappas), len(p_now)))
     for n in range(len(snaps) - 1):
         u = snaps[n][1].values
         dt = dts[n]
         faces = coulomb_drift(grid, np.fft.fftn(u))
-        p_next = np.array([phi(times[n + 1]) for phi in bank])
+        p_next = bank(times[n + 1])
         eta = np.abs(u - kap)
         sgn = np.sign(u - kap)
         q = sgn * (_mobility(u, m) - km)

@@ -21,6 +21,7 @@ __all__ = [
     "RearrangedProfile",
     "rearrange",
     "support_measure",
+    "support_threshold",
     "waiting_time_indicator",
     "subsolution_residual",
 ]
@@ -67,6 +68,11 @@ def rearrange(u: ScalarField) -> RearrangedProfile:
     s_edges[-1] = 1.0
     k = np.concatenate(([0.0], np.cumsum(u_star) * cm))
     return RearrangedProfile(s_edges=s_edges, u_star=u_star, k=k)
+
+
+def support_threshold(u: ScalarField) -> float:
+    """Level 1e-8 max(u) above which a cell counts as in the support."""
+    return 1e-8 * float(np.max(u.values))
 
 
 def support_measure(u: ScalarField, theta: float) -> float:

@@ -37,7 +37,12 @@ from coulombflow.hj_fronts import (
 )
 from coulombflow.initial_conditions import build_initial_condition
 from coulombflow.pde_solver import SolverConfig, Trajectory, run
-from coulombflow.rearrangement import rearrange, waiting_time_indicator, support_measure
+from coulombflow.rearrangement import (
+    rearrange,
+    support_measure,
+    support_threshold,
+    waiting_time_indicator,
+)
 from coulombflow.torus_field import ScalarField, make_grid
 from coulombflow.verify import (
     CheckResult,
@@ -240,7 +245,7 @@ def _task_comparison(n: int) -> list[CheckResult]:
 
 
 def _edge_classification(u0: ScalarField, m: float) -> tuple[str, tuple]:
-    return waiting_time_indicator(u0, m, support_measure(u0, 1e-8 * float(np.max(u0.values))))
+    return waiting_time_indicator(u0, m, support_measure(u0, support_threshold(u0)))
 
 
 def _task_waiting_time() -> list[CheckResult]:

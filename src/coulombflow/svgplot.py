@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from html import escape
 from typing import Mapping
 
 import numpy as np
@@ -56,7 +57,7 @@ def write_line_chart(
     if title:
         parts.append(
             f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>'
         )
     for tx in _ticks(xlo, xhi):
         parts.append(
@@ -79,13 +80,13 @@ def write_line_chart(
     if xlabel:
         parts.append(
             f'<text x="{_ML + pw / 2:.2f}" y="{_H - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="18" y="{_MT + ph / 2:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {_MT + ph / 2:.2f})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {_MT + ph / 2:.2f})">{escape(ylabel, quote=False)}</text>'
         )
     for j, (name, yv) in enumerate(ys.items()):
         yv = np.asarray(yv, dtype=float)
@@ -101,7 +102,7 @@ def write_line_chart(
         )
         parts.append(
             f'<text x="{_W - _MR + 40}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{name}</text>'
+            f'font-size="12">{escape(name, quote=False)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -31,6 +31,7 @@ from coulombflow.rearrangement import (
     RearrangedProfile,
     subsolution_residual,
     support_measure,
+    support_threshold,
 )
 from coulombflow.torus_field import ScalarField, hminus1_norm, mean
 
@@ -267,7 +268,7 @@ def check_waiting_time(traj: Trajectory, indicator: tuple[str, tuple]) -> CheckR
     """
     classification = indicator[0]
     u0 = traj.snapshots[0][1]
-    theta = 1e-8 * float(np.max(u0.values))
+    theta = support_threshold(u0)
     cm = traj.grid.cell_measure
     s0 = support_measure(u0, theta)
     times = traj.times

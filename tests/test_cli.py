@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -363,6 +364,15 @@ class TestPlot:
         body = out.read_text()
         assert body.startswith("<svg")
         assert body.count("<polyline") == 2
+
+    def test_markup_characters_escaped(self, tmp_path):
+        src = tmp_path / "p&q.csv"
+        src.write_text("x,a<b\n0,1\n1,2\n")
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--in", str(src), "--out", str(out), "--x", "x", "--y", "a<b"]) == 0
+        texts = [el.text for el in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert "p&q.csv" in texts
+        assert "a<b" in texts
 
     def test_empty_csv_exit_2(self, tmp_path):
         src = tmp_path / "empty.csv"

@@ -439,7 +439,7 @@ class TestGradSup:
         assert np.max(vals) >= 5.0 * vals[0]
 
 
-def _entropy_residual_reference(traj, cfg, kappas, bank=None):
+def _entropy_residual_reference(traj, cfg, kappas):
     """entropy_residual as one weak-form sum per (snapshot, kappa, bump)."""
     snaps = traj.snapshots
     times = traj.times
@@ -448,10 +448,9 @@ def _entropy_residual_reference(traj, cfg, kappas, bank=None):
     cm = grid.cell_measure
     m = cfg.m
     ubar = mean(snaps[0][1])
-    if bank is None:
-        bank = pde_solver.default_bump_bank(grid, times[0], times[-1])
-    phi_vals = [[phi(t) for t in times] for phi in bank]
-    totals = np.zeros((len(kappas), len(bank)))
+    bank = pde_solver.default_bump_bank(grid, times[0], times[-1])
+    phi_vals = [bank(t) for t in times]
+    totals = np.zeros((len(kappas), len(phi_vals[0])))
     for n in range(len(snaps) - 1):
         u = snaps[n][1].values
         dt = dts[n]
@@ -462,9 +461,9 @@ def _entropy_residual_reference(traj, cfg, kappas, bank=None):
             sgn = np.sign(u - kappa)
             q = sgn * (np.power(np.maximum(u, 0.0), m) - km)
             z = -sgn * km * (u - ubar)
-            for b in range(len(bank)):
-                p_now = phi_vals[b][n]
-                p_next = phi_vals[b][n + 1]
+            for b in range(len(phi_vals[0])):
+                p_now = phi_vals[n][b]
+                p_next = phi_vals[n + 1][b]
                 total = float(np.sum(eta * (p_next - p_now))) * cm
                 for axis, w in enumerate(faces):
                     q_up = np.where(w > 0.0, np.roll(q, -1, axis=axis), q)
@@ -480,6 +479,36 @@ def _entropy_residual_reference(traj, cfg, kappas, bank=None):
                     total += dt * traj.epsilon * float(np.sum(eta * lap)) * cm
                 totals[k, b] += total
     return float(np.min(totals))
+
+
+def _closure_bump_bank(grid, t0, t1):
+    """The bump bank as one closure per bump, rebuilding its profile per call."""
+    span = t1 - t0
+    t_centers = [t0 + 0.35 * span, t0 + 0.65 * span]
+    wt = 0.3 * span
+    if grid.dim == 1:
+        x_centers = [(0.125,), (0.375,), (0.625,), (0.875,)]
+    else:
+        x_centers = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+    coords = grid.coordinates()
+    bank = []
+    for tc in t_centers:
+        for xc in x_centers:
+            for width in (4.0 * grid.h, 8.0 * grid.h):
+
+                def phi(t, tc=tc, xc=xc, width=width):
+                    amp = float(pde_solver._bump(np.array([(t - tc) / wt]))[0])
+                    if amp == 0.0:
+                        return np.zeros(grid.shape)
+                    out = np.full(grid.shape, amp)
+                    for axis in range(grid.dim):
+                        d = coords[axis] - xc[axis]
+                        d = d - np.round(d)
+                        out = out * pde_solver._bump(d / width)
+                    return out
+
+                bank.append(phi)
+    return bank
 
 
 class TestEntropyResidual:
@@ -524,33 +553,29 @@ class TestEntropyResidual:
         entropy_residual(traj, cfg, kappas=[0.0, 0.7, 2.0])
         assert len(calls) == len(traj.snapshots) - 1
 
-    @pytest.mark.parametrize(
-        "dim, n, eps, custom_bank",
-        [
-            (1, 64, "auto", False),
-            (1, 64, 0.0, False),
-            (2, 16, "auto", False),
-            (1, 64, "auto", True),
-            (2, 16, "auto", True),
-        ],
-    )
-    def test_matches_per_pair_loop(self, dim, n, eps, custom_bank):
+    @pytest.mark.parametrize("dim, n, eps", [(1, 64, "auto"), (1, 64, 0.0), (2, 16, "auto")])
+    def test_matches_per_pair_loop(self, dim, n, eps):
         g = make_grid(dim, n)
         coords = g.coordinates()
         values = 1.0 + 0.5 * np.cos(2 * np.pi * coords[0])
         if dim == 2:
             values = values + 0.3 * np.sin(2 * np.pi * coords[1])
         traj, cfg = dense_uniform_run(ScalarField(g, values), 2.0, 0.05, eps=eps)
-        bank = None
-        if custom_bank:
-            bank = [
-                lambda t, c=c: np.sin(20 * np.pi * t) * (1 + np.cos(2 * np.pi * (coords[0] - c)))
-                for c in (0.1, 0.4, 0.8)
-            ]
         kappas = [0.0, 0.7, 2.0]
-        got = entropy_residual(traj, cfg, kappas, bank=bank)
-        want = _entropy_residual_reference(traj, cfg, kappas, bank=bank)
+        got = entropy_residual(traj, cfg, kappas)
+        want = _entropy_residual_reference(traj, cfg, kappas)
         assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 16), (2, 32)])
+    def test_bump_bank_matches_closure_reference(self, dim, n):
+        g = make_grid(dim, n)
+        t0, t1 = 0.013, 0.4
+        reference = _closure_bump_bank(g, t0, t1)
+        bank = pde_solver.default_bump_bank(g, t0, t1)
+        for t in np.linspace(t0, t1, 41):
+            got = bank(t)
+            assert got.shape == (16,) + g.shape
+            assert np.array_equal(got, np.array([phi(t) for phi in reference]))
 
     def test_needs_enough_snapshots(self):
         traj = run(cosine(64), SolverConfig(m=1.0, t_end=0.1, output_times=[0.1]))
