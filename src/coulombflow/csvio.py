@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -12,19 +13,12 @@ __all__ = ["write_csv", "read_csv"]
 _BLOCK_ROWS = 8192
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """Integers as str, everything else as format(float(x), ".17g"), one per value."""
-    vals = values.tolist()
-    if values.dtype.kind in "iu":
-        return list(map(str, vals))
-    return (("%.17g\n" * len(vals)) % tuple(vals)).split("\n")[:-1]
-
-
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write columns under a header row, floats at 17 significant digits.
 
-    Rows are formatted column by column in blocks of _BLOCK_ROWS, which bounds
-    the memory held by the strings of one file.
+    One row template serves the whole file: %d for integer columns and %.17g
+    for the others.  Each block of _BLOCK_ROWS rows is formatted by a single
+    %, which bounds the memory held by the strings of one file.
     """
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(columns) != len(header):
@@ -33,11 +27,12 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
     for c in columns:
         if len(c) != nrows:
             raise ValueError("all columns must share a length")
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, nrows, _BLOCK_ROWS):
-            cells = [_format_column(c[start : start + _BLOCK_ROWS]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            block = [c[start : start + _BLOCK_ROWS].tolist() for c in columns]
+            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def read_csv(path) -> tuple[list[str], dict[str, np.ndarray]]:

@@ -27,6 +27,7 @@ from coulombflow.torus_field import (
     ScalarField,
     TorusGrid,
     coulomb_drift,
+    fourier_multiply,
     mean,
     mode_energy,
     spectral_symbols,
@@ -43,7 +44,6 @@ __all__ = [
     "mollify",
     "entropy_residual",
     "dissipation_check",
-    "grad_sup_series",
     "default_bump_bank",
 ]
 
@@ -232,7 +232,7 @@ def cfl_dt(
     grid = u.grid
     eps = cfg.epsilon_at(grid)
     if faces is None:
-        faces = coulomb_drift(grid, np.fft.fftn(u.values))
+        faces = coulomb_drift(grid, np.fft.rfftn(u.values))
     vmax = max(float(np.abs(w).max()) for w in faces)
     speed = _advective_speed_scale(u.values, cfg.m)
     dt = np.inf
@@ -280,7 +280,7 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
         raise SolverError("negative input density")
     if hi == lo:
         return u  # constants are exact steady states for any dt
-    faces = coulomb_drift(grid, np.fft.fftn(u.values))
+    faces = coulomb_drift(grid, np.fft.rfftn(u.values))
     limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
@@ -293,10 +293,8 @@ def mollify(u: ScalarField, width: float) -> ScalarField:
     """Spectral Gaussian smoothing with standard deviation `width`."""
     if width <= 0:
         return u
-    grid = u.grid
-    damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(grid).ksq)
-    out = np.fft.ifftn(np.fft.fftn(u.values) * damp).real
-    return ScalarField(grid, np.maximum(out, 0.0))
+    damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(u.grid).ksq)
+    return ScalarField(u.grid, np.maximum(fourier_multiply(u, damp), 0.0))
 
 
 def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> float:
@@ -365,7 +363,7 @@ def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
     out_idx = 0
     step_idx = 0
     while True:
-        uhat = np.fft.fftn(values)
+        uhat = np.fft.rfftn(values)
         faces = coulomb_drift(grid, uhat)
         if step_idx % cfg.record_every == 0:
             record(t, values, uhat)
@@ -408,13 +406,6 @@ def dissipation_check(traj: Trajectory) -> float:
     obs = traj.observables
     drift = obs.energy + obs.cumulative_dissipation - obs.energy[0]
     return float(np.max(drift))
-
-
-def grad_sup_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Centered-difference gradient sup-norm per snapshot."""
-    times = traj.times
-    vals = np.array([_grad_sup(traj.grid, f.values) for _, f in traj.snapshots])
-    return times, vals
 
 
 # --- entropy residual -------------------------------------------------------
@@ -505,7 +496,7 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
     for n in range(len(snaps) - 1):
         u = snaps[n][1].values
         dt = dts[n]
-        faces = coulomb_drift(grid, np.fft.fftn(u))
+        faces = coulomb_drift(grid, np.fft.rfftn(u))
         p_next = bank(times[n + 1])
         eta = np.abs(u - kap)
         sgn = np.sign(u - kap)

@@ -8,7 +8,13 @@ spectral space so that the conservative divergence keeps its accuracy.
 
 This module owns every Fourier symbol: spectral_symbols(grid) builds them
 once per grid, and the potential, the drift, the Laplacian, the energy and
-the solver's mollifier all read them from there.
+the solver's mollifier all read them from there.  The data are real, so
+every operation runs on the half spectrum of np.fft.rfftn: the first axis
+keeps all n wavenumbers (fftfreq), the last only 0..n//2 (rfftfreq), and
+irfftn restores the real field.  The modes the half spectrum leaves out are
+the complex conjugates of the ones it keeps, which the energy counts with a
+weight of 2.  Odd derivatives zero the Nyquist mode, 2|k| = n, which exists
+only for even n.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ __all__ = [
     "SpectralSymbols",
     "make_grid",
     "spectral_symbols",
+    "fourier_multiply",
     "coulomb_drift",
     "mode_energy",
     "coulomb_potential",
@@ -103,18 +110,22 @@ def make_grid(dim: int, n: int) -> TorusGrid:
 
 @dataclass(frozen=True)
 class SpectralSymbols:
-    """Fourier multipliers of one grid, on the layout of np.fft.fftn.
+    """Fourier multipliers of one grid, on the half-spectrum layout of np.fft.rfftn.
 
-    Per-axis arrays broadcast against the grid shape.  The derivative
-    multipliers 2 pi i k zero the Nyquist mode to keep the odd derivative of
-    real data real and symmetric; the face ones add the half-cell phase shift
-    exp(i pi k h) that samples at the face on the positive side of each cell.
+    Per-axis arrays broadcast against the half-spectrum shape: the last axis
+    holds the wavenumbers 0..n//2, where the Nyquist mode n/2 (even n only)
+    is +n/2.  The derivative multipliers 2 pi i k zero the Nyquist mode,
+    wherever 2|k| = n, to keep the odd derivative of real data real and
+    symmetric; the face ones add the half-cell phase shift exp(i pi k h)
+    that samples at the face on the positive side of each cell.
+    energy_weight is inv_lap times the Hermitian multiplicity of each kept
+    mode: 1 on the k_last = 0 and Nyquist columns, which have no conjugate
+    partner among the left-out modes, and 2 elsewhere.
     """
 
     ksq: np.ndarray
-    nonzero: np.ndarray
-    lap_denom: np.ndarray  # 4 pi^2 |k|^2 on the nonzero modes
     inv_lap: np.ndarray  # 1 / (4 pi^2 |k|^2), zero on the mean mode
+    energy_weight: np.ndarray
     cell_diff: tuple[np.ndarray, ...]
     face_diff: tuple[np.ndarray, ...]
 
@@ -122,51 +133,64 @@ class SpectralSymbols:
 @functools.lru_cache(maxsize=8)
 def spectral_symbols(grid: TorusGrid) -> SpectralSymbols:
     """The grid's Fourier symbols, built once per grid and shared read-only."""
-    k1 = np.fft.fftfreq(grid.n, d=grid.h)  # integer-valued floats
-    ks = (k1,) if grid.dim == 1 else (k1[:, None], k1[None, :])
+    # Rounded, because n * (1/n) != 1 in floating point for some n (49, 98, ...)
+    k_last = np.fft.rfftfreq(grid.n, d=grid.h).round()
+    if grid.dim == 1:
+        ks = (k_last,)
+    else:
+        ks = (np.fft.fftfreq(grid.n, d=grid.h).round()[:, None], k_last[None, :])
     ksq = ks[0] ** 2
     for k in ks[1:]:
         ksq = ksq + k**2
     nonzero = ksq > 0
-    lap_denom = 4.0 * np.pi**2 * ksq[nonzero]
     inv_lap = np.zeros_like(ksq)
-    inv_lap[nonzero] = 1.0 / lap_denom
-    nyq = -grid.n // 2
-    cell_diff = tuple(np.where(k == nyq, 0.0, 2j * np.pi * k) for k in ks)
+    inv_lap[nonzero] = 1.0 / (4.0 * np.pi**2 * ksq[nonzero])
+    unpaired = (k_last == 0) | (2 * k_last == grid.n)
+    energy_weight = np.where(unpaired, 1.0, 2.0) * inv_lap
+    cell_diff = tuple(np.where(2 * np.abs(k) == grid.n, 0.0, 2j * np.pi * k) for k in ks)
     face_diff = tuple(
         d * np.exp(1j * np.pi * k * grid.h) for d, k in zip(cell_diff, ks)
     )
-    for a in (ksq, nonzero, lap_denom, inv_lap, *cell_diff, *face_diff):
+    for a in (ksq, inv_lap, energy_weight, *cell_diff, *face_diff):
         a.flags.writeable = False
-    return SpectralSymbols(ksq, nonzero, lap_denom, inv_lap, cell_diff, face_diff)
+    return SpectralSymbols(ksq, inv_lap, energy_weight, cell_diff, face_diff)
+
+
+def _to_grid(grid: TorusGrid, xhat: np.ndarray) -> np.ndarray:
+    """The real field on `grid` whose rfftn half spectrum is xhat."""
+    return np.fft.irfftn(xhat, s=grid.shape, axes=tuple(range(grid.dim)))
+
+
+def fourier_multiply(u: ScalarField, multiplier: np.ndarray) -> np.ndarray:
+    """Values of u with each Fourier mode scaled by a half-spectrum multiplier."""
+    return _to_grid(u.grid, np.fft.rfftn(u.values) * multiplier)
 
 
 def coulomb_drift(
     grid: TorusGrid, uhat: np.ndarray, staggering: str = "face"
 ) -> tuple[np.ndarray, ...]:
-    """Gradient of the Coulomb potential per axis, from uhat = fftn(u)."""
+    """Gradient of the Coulomb potential per axis, from uhat = rfftn(u)."""
     if staggering not in ("cell", "face"):
         raise ValueError(f"unknown staggering {staggering!r}")
     sym = spectral_symbols(grid)
     mults = sym.face_diff if staggering == "face" else sym.cell_diff
     phihat = uhat * sym.inv_lap
-    return tuple(np.fft.ifftn(phihat * d).real for d in mults)
+    return tuple(_to_grid(grid, phihat * d) for d in mults)
 
 
 def mode_energy(grid: TorusGrid, uhat: np.ndarray) -> float:
-    """Squared H^-1 norm from uhat = fftn(u).
+    """Squared H^-1 norm from uhat = rfftn(u).
 
-    The sum over nonzero modes of |h^d uhat(k)|^2 / (4 pi^2 |k|^2).
+    The sum over all nonzero modes of |h^d uhat(k)|^2 / (4 pi^2 |k|^2), as one
+    energy_weight-weighted sum over the half spectrum.
     """
-    sym = spectral_symbols(grid)
-    weighted = np.abs(uhat[sym.nonzero] * grid.cell_measure) ** 2 / sym.lap_denom
-    return float(np.sum(weighted))
+    power = uhat.real**2 + uhat.imag**2
+    return float(np.sum(spectral_symbols(grid).energy_weight * power)) * grid.cell_measure**2
 
 
 def coulomb_potential(u: ScalarField) -> ScalarField:
     """Zero-mean solution of -Lap(phi) = u - mean(u), computed spectrally."""
-    inv_lap = spectral_symbols(u.grid).inv_lap
-    return ScalarField(u.grid, np.fft.ifftn(np.fft.fftn(u.values) * inv_lap).real)
+    return ScalarField(u.grid, fourier_multiply(u, spectral_symbols(u.grid).inv_lap))
 
 
 def coulomb_field(u: ScalarField, staggering: str = "cell") -> tuple[np.ndarray, ...]:
@@ -175,14 +199,13 @@ def coulomb_field(u: ScalarField, staggering: str = "cell") -> tuple[np.ndarray,
     One array per axis.  For staggering="face", component a is sampled at the
     face on the positive side of each cell along axis a.
     """
-    return coulomb_drift(u.grid, np.fft.fftn(u.values), staggering)
+    return coulomb_drift(u.grid, np.fft.rfftn(u.values), staggering)
 
 
 def spectral_laplacian(u: ScalarField) -> ScalarField:
     """Spectral Laplacian, used for round-trip checks of the Coulomb solve."""
     ksq = spectral_symbols(u.grid).ksq
-    out = np.fft.ifftn(np.fft.fftn(u.values) * (-4.0 * np.pi**2 * ksq)).real
-    return ScalarField(u.grid, out)
+    return ScalarField(u.grid, fourier_multiply(u, -4.0 * np.pi**2 * ksq))
 
 
 def lp_norm(u: ScalarField, p: float) -> float:
@@ -201,7 +224,7 @@ def mean(u: ScalarField) -> float:
 
 def interaction_energy(u: ScalarField) -> float:
     """Quadratic Coulomb energy of the mean-free part of u."""
-    return 0.5 * mode_energy(u.grid, np.fft.fftn(u.values))
+    return 0.5 * mode_energy(u.grid, np.fft.rfftn(u.values))
 
 
 def hminus1_norm(u: ScalarField) -> float:
@@ -211,4 +234,4 @@ def hminus1_norm(u: ScalarField) -> float:
     |u_hat(k)|^2 / (4 pi^2 |k|^2), so hminus1_norm(u)^2 == 2 * interaction_energy(u)
     holds exactly.
     """
-    return float(np.sqrt(mode_energy(u.grid, np.fft.fftn(u.values))))
+    return float(np.sqrt(mode_energy(u.grid, np.fft.rfftn(u.values))))

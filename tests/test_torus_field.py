@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coulombflow.pde_solver import mollify
 from coulombflow.torus_field import (
     ScalarField,
+    coulomb_drift,
     coulomb_field,
     coulomb_potential,
     hminus1_norm,
@@ -13,6 +15,7 @@ from coulombflow.torus_field import (
     lp_norm,
     make_grid,
     mean,
+    mode_energy,
     spectral_laplacian,
 )
 
@@ -236,3 +239,67 @@ def test_dissipation_weight_consistency():
     pot = coulomb_potential(u)
     direct = 0.5 * np.sum(pot.values * u.values) * g.cell_measure
     assert direct == pytest.approx(interaction_energy(u), abs=1e-10)
+
+
+def _full_spectrum_reference(u, width):
+    """Every Fourier operation on the full np.fft.fftn spectrum of u.
+
+    Wavenumbers are the integers of np.fft.fftfreq on every axis; the odd
+    derivatives zero the Nyquist mode k = -n/2, which only even n has.
+    """
+    grid = u.grid
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n).round()
+    ks = np.meshgrid(*([k1] * grid.dim), indexing="ij")
+    ksq = sum(k**2 for k in ks)
+    inv_lap = np.zeros_like(ksq)
+    inv_lap[ksq > 0] = 1.0 / (4.0 * np.pi**2 * ksq[ksq > 0])
+    uhat = np.fft.fftn(u.values)
+
+    def back(xhat):
+        return np.fft.ifftn(xhat).real
+
+    cell = [np.where(k == -grid.n / 2, 0.0, 2j * np.pi * k) for k in ks]
+    face = [c * np.exp(1j * np.pi * k * grid.h) for c, k in zip(cell, ks)]
+    return {
+        "cell": [back(uhat * inv_lap * c) for c in cell],
+        "face": [back(uhat * inv_lap * f) for f in face],
+        "potential": back(uhat * inv_lap),
+        "laplacian": back(uhat * -4.0 * np.pi**2 * ksq),
+        "mollify": np.maximum(back(uhat * np.exp(-2.0 * np.pi**2 * width**2 * ksq)), 0.0),
+        "energy": float(np.sum(np.abs(uhat * grid.cell_measure) ** 2 * inv_lap)),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_half_spectrum_matches_full_spectrum(dim, n):
+    # random cell values excite every mode, the Nyquist one of even n included
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(10 * n + dim)
+    u = ScalarField(grid, rng.uniform(0.5, 2.0, grid.shape))
+    width = 2.0 * grid.h
+    want = _full_spectrum_reference(u, width)
+    uhat = np.fft.rfftn(u.values)
+    got = {
+        "cell": coulomb_drift(grid, uhat, "cell"),
+        "face": coulomb_drift(grid, uhat, "face"),
+        "potential": coulomb_potential(u).values,
+        "laplacian": spectral_laplacian(u).values,
+        "mollify": mollify(u, width).values,
+    }
+    for name, value in got.items():
+        ref = want[name]
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(np.subtract(value, ref))) <= 1e-15 * scale, name
+    assert mode_energy(grid, uhat) == pytest.approx(want["energy"], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_drift_zeroes_nyquist_where_fftfreq_is_inexact(dim):
+    # fftfreq(98, d=1/98) lies off the integers, so a test of 2|k| == n on it
+    # would keep the Nyquist derivative (a drift error of 2-4 %)
+    grid = make_grid(dim, 98)
+    u = ScalarField(grid, np.random.default_rng(dim).uniform(0.5, 2.0, grid.shape))
+    want = _full_spectrum_reference(u, grid.h)["face"]
+    for got, ref in zip(coulomb_field(u, "face"), want):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
