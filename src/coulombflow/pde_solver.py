@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -28,6 +29,7 @@ from coulombflow.torus_field import (
     TorusGrid,
     coulomb_drift,
     fourier_multiply,
+    half_spectrum,
     mean,
     mode_energy,
     spectral_symbols,
@@ -41,6 +43,7 @@ __all__ = [
     "cfl_dt",
     "step",
     "run",
+    "run_batch",
     "mollify",
     "entropy_residual",
     "dissipation_check",
@@ -116,7 +119,11 @@ class SolverConfig:
 
 @dataclass
 class Observables:
-    """Per-recorded-step scalar diagnostics of a run.
+    """Per-recorded-step scalar diagnostics of a run, one float array per field.
+
+    run_batch reduces them along the grid axes for all members of a batch at
+    once and keeps each member's rows in one flat array of doubles until the
+    run ends.
 
     cumulative_dissipation integrates only the transport dissipation, the
     integral of |drift|^2 u^m.  The viscous loss eps * ||u - ubar||^2_{L^2}
@@ -156,18 +163,23 @@ class Trajectory:
         return np.array([t for t, _ in self.snapshots])
 
 
+@functools.lru_cache(maxsize=None)
+def _roll_pieces(ndim: int, axis: int, shift: int) -> tuple[tuple, tuple]:
+    """Index tuples of the two pieces np.roll(values, shift, axis) joins."""
+    lead = (slice(None),) * (axis % ndim)
+    return lead + (slice(-shift, None),), lead + (slice(None, -shift),)
+
+
 def _next(values: np.ndarray, axis: int) -> np.ndarray:
     """Periodic + neighbour along `axis`: np.roll(values, -1, axis) by slicing."""
-    lead = (slice(None),) * (axis % values.ndim)
-    rest, first = values[lead + (slice(1, None),)], values[lead + (slice(None, 1),)]
-    return np.concatenate((rest, first), axis)
+    head, tail = _roll_pieces(values.ndim, axis, -1)
+    return np.concatenate((values[head], values[tail]), axis)
 
 
 def _prev(values: np.ndarray, axis: int) -> np.ndarray:
     """Periodic - neighbour along `axis`: np.roll(values, 1, axis) by slicing."""
-    lead = (slice(None),) * (axis % values.ndim)
-    last, rest = values[lead + (slice(-1, None),)], values[lead + (slice(None, -1),)]
-    return np.concatenate((last, rest), axis)
+    head, tail = _roll_pieces(values.ndim, axis, 1)
+    return np.concatenate((values[head], values[tail]), axis)
 
 
 def _axis_sum(terms) -> np.ndarray:
@@ -194,16 +206,17 @@ def _divergence_flux(
     """div_h of the upwinded flux u^m * drift, cellwise, from the mobility u^m.
 
     Upwinding the mobility is upwinding the value: u -> u^m acts per cell.
+    Works over the trailing grid axes; leading axes are a batch.
     """
-    fluxes = (w * _upwind_face_values(mob, w, axis) for axis, w in enumerate(faces))
-    return _axis_sum((g - _prev(g, axis)) / grid.h for axis, g in enumerate(fluxes))
+    fluxes = (w * _upwind_face_values(mob, w, axis) for axis, w in zip(grid.axes, faces))
+    return _axis_sum((g - _prev(g, axis)) / grid.h for axis, g in zip(grid.axes, fluxes))
 
 
 def _laplacian(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Centered Laplacian over the trailing grid axes; leading axes are a batch."""
     return _axis_sum(
         (_next(values, axis) - 2.0 * values + _prev(values, axis)) / grid.h**2
-        for axis in range(-grid.dim, 0)
+        for axis in grid.axes
     )
 
 
@@ -232,7 +245,7 @@ def cfl_dt(
     grid = u.grid
     eps = cfg.epsilon_at(grid)
     if faces is None:
-        faces = coulomb_drift(grid, np.fft.rfftn(u.values))
+        faces = coulomb_drift(grid, half_spectrum(grid, u.values))
     vmax = max(float(np.abs(w).max()) for w in faces)
     speed = _advective_speed_scale(u.values, cfg.m)
     dt = np.inf
@@ -249,27 +262,66 @@ def cfl_dt(
     return float(dt)
 
 
+def _members(batch: np.ndarray, grid: TorusGrid) -> list[np.ndarray]:
+    """The members of a batch array, one grid-shaped view each.
+
+    Batch arrays are (B, *grid.shape), except that a batch of one keeps no
+    batch axis: the helpers work over the trailing grid axes either way, and
+    a single run pays nothing for broadcasting.
+    """
+    return [batch] if batch.ndim == grid.dim else list(batch)
+
+
+def _listed(reduced: np.ndarray) -> list[float]:
+    """One value per member from a reduction over the grid axes of a batch array."""
+    return [float(reduced)] if reduced.ndim == 0 else reduced.tolist()
+
+
+def _per_member(values: list[float], grid: TorusGrid) -> Union[float, np.ndarray]:
+    """One float per member, as a factor of a batch array.
+
+    The shared float when all members agree, else a (B, 1[, 1]) column:
+    either way each member's product is the one a batch of one computes.
+    """
+    first = values[0]
+    if values.count(first) == len(values):
+        return first
+    return np.array(values).reshape((-1,) + (1,) * grid.dim)
+
+
+def _negativity(worst: float) -> str:
+    return f"negativity beyond roundoff ({worst:.3e}): scheme misconfigured"
+
+
 def _euler_update(
     grid: TorusGrid,
     values: np.ndarray,
     mob: np.ndarray,
     faces: tuple[np.ndarray, ...],
-    dt: float,
-    eps: float,
-) -> np.ndarray:
-    """values + dt * (div_h(mob * drift) + eps Lap_h values), clamped at zero."""
+    dt: list[float],
+    eps: list[float],
+) -> tuple[np.ndarray, list[float]]:
+    """values + dt * (div_h(mob * drift) + eps Lap_h values) for a batch array.
+
+    dt and eps hold one float per member.  Only members with eps > 0 get the
+    viscosity and only members whose update went negative are clamped at
+    zero, so each member's arithmetic, down to the signs of zeros, is that
+    of a batch of one.  Returns the update and each member's minimum before
+    the clamp.
+    """
     rhs = _divergence_flux(grid, mob, faces)
-    if eps > 0.0:
-        rhs = rhs + eps * _laplacian(grid, values)
-    new = values + dt * rhs
-    worst = float(new.min())
-    if worst < 0.0:
-        if worst < -_NEGATIVITY_GUARD:
-            raise SolverError(
-                f"negativity beyond roundoff ({worst:.3e}): scheme misconfigured"
-            )
-        new = np.maximum(new, 0.0)
-    return new
+    viscous = [r for r, e in enumerate(eps) if e > 0.0]
+    if len(viscous) == len(eps):
+        rhs += _per_member(eps, grid) * _laplacian(grid, values)
+    elif viscous:
+        lap = _laplacian(grid, values[viscous])
+        rhs[viscous] += _per_member([eps[r] for r in viscous], grid) * lap
+    new = values + _per_member(dt, grid) * rhs
+    worst = _listed(new.min(axis=grid.axes))
+    for member, lowest in zip(_members(new, grid), worst):
+        if lowest < 0.0:
+            np.maximum(member, 0.0, out=member)
+    return new, worst
 
 
 def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
@@ -280,13 +332,15 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
         raise SolverError("negative input density")
     if hi == lo:
         return u  # constants are exact steady states for any dt
-    faces = coulomb_drift(grid, np.fft.rfftn(u.values))
+    faces = coulomb_drift(grid, half_spectrum(grid, u.values))
     limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
     mob = _mobility(u.values, cfg.m)
-    eps = cfg.epsilon_at(grid)
-    return ScalarField(grid, _euler_update(grid, u.values, mob, faces, dt, eps))
+    new, worst = _euler_update(grid, u.values, mob, faces, [dt], [cfg.epsilon_at(grid)])
+    if worst[0] < -_NEGATIVITY_GUARD:
+        raise SolverError(_negativity(worst[0]))
+    return ScalarField(grid, new)
 
 
 def mollify(u: ScalarField, width: float) -> ScalarField:
@@ -297,108 +351,189 @@ def mollify(u: ScalarField, width: float) -> ScalarField:
     return ScalarField(u.grid, np.maximum(fourier_multiply(u, damp), 0.0))
 
 
-def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> float:
-    """Sum over cells of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces."""
+def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Sum over cells of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces.
+
+    One face array per grid axis; the sum runs over those trailing axes, so
+    a batch gets one value per member.
+    """
+    axes = tuple(range(-len(faces), 0))
     squares = (w**2 for w in faces)
-    sq = _axis_sum(0.5 * (s + _prev(s, axis)) for axis, s in enumerate(squares))
-    return float((sq * mob).sum())
+    sq = _axis_sum(0.5 * (s + _prev(s, axis)) for axis, s in zip(axes, squares))
+    return (sq * mob).sum(axis=axes)
 
 
-def _grad_sup(grid: TorusGrid, values: np.ndarray) -> float:
-    """Max over cells of the Euclidean centered-difference |grad u|."""
+def _grad_sup(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Max over cells of the Euclidean centered-difference |grad u|, per member."""
     sq = _axis_sum(
         ((_next(values, axis) - _prev(values, axis)) / (2.0 * grid.h)) ** 2
-        for axis in range(grid.dim)
+        for axis in grid.axes
     )
-    return float(np.sqrt(sq.max()))
+    return np.sqrt(sq.max(axis=grid.axes))
 
 
-def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
-    """Integrate to t_end, recording snapshots at output_times.
-
-    Snapshots land exactly on the requested times (the step is clamped to the
-    next output).  Observables are recorded every `record_every` steps and at
-    the final time; the dissipation integral accumulates every step with the
-    same left-endpoint rule as the Euler update.
-    """
-    grid = u0.grid
-    eps = cfg.epsilon_at(grid)
-    if float(np.min(u0.values)) < 0.0:
-        raise SolverError("initial data must be nonnegative")
-    if cfg.m < 1 and float(np.min(u0.values)) < cfg.floor_m_lt_1:
-        raise SolverError(
-            f"m < 1 requires min(u0) >= floor ({cfg.floor_m_lt_1}), got {np.min(u0.values)}"
-        )
-
-    u0 = mollify(u0, cfg.mollify_width)
-    outputs = []
+def _output_schedule(cfg: SolverConfig) -> list[float]:
+    """The distinct output times in (0, t_end], ending at t_end."""
+    outputs: list[float] = []
     for t in sorted(float(t) for t in cfg.output_times if 0.0 < t <= cfg.t_end):
         if not outputs or t - outputs[-1] > 1e-12:
             outputs.append(t)
     if not outputs or outputs[-1] < cfg.t_end - 1e-12:
         outputs.append(cfg.t_end)
+    return outputs
 
+
+def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
+    """Integrate u0 to cfg.t_end: the one-member case of `run_batch`."""
+    return run_batch([(u0, cfg)])[0]
+
+
+def run_batch(members: Sequence[tuple[ScalarField, SolverConfig]]) -> list[Trajectory]:
+    """Integrate each (u0, cfg) member to its t_end; one trajectory per member.
+
+    The members share a grid and step together in one forward-Euler kernel
+    over a (B, *grid.shape) array; everything else is their own: m, eps,
+    cfl, t_end, output times, record_every, floor and mollifier.  Each step
+    every active member takes its own dt from cfl_dt, the observables are
+    reduced along the grid axes for all members at once, and a member leaves
+    the batch at its t_end, so each trajectory is bit-identical to the
+    member integrated alone.
+
+    Snapshots land exactly on the requested times (the step is clamped to the
+    next output).  Observables are recorded every `record_every` steps and at
+    the final time; the dissipation integral accumulates every step with the
+    same left-endpoint rule as the Euler update.
+
+    Raises ValueError for an empty batch or members on different grids.  In a
+    batch of more than one, a SolverError names the failing member's index.
+    """
+    members = list(members)
+    if not members:
+        raise ValueError("run_batch needs at least one member")
+    grid = members[0][0].grid
+    for i, (u0, _) in enumerate(members):
+        if u0.grid != grid:
+            raise ValueError(
+                f"member {i} is on {u0.grid}, member 0 on {grid}; a batch shares one grid"
+            )
+
+    def fail(i: int, message: str):
+        raise SolverError(message if len(members) == 1 else f"member {i}: {message}")
+
+    cfgs = [cfg for _, cfg in members]
+    for i, (u0, cfg) in enumerate(members):
+        lowest = float(np.min(u0.values))
+        if lowest < 0.0:
+            fail(i, "initial data must be nonnegative")
+        if cfg.m < 1 and lowest < cfg.floor_m_lt_1:
+            fail(i, f"m < 1 requires min(u0) >= floor ({cfg.floor_m_lt_1}), got {lowest}")
+
+    start = [mollify(u0, cfg.mollify_width).values for u0, cfg in members]
+    values = np.stack(start) if len(start) > 1 else start[0].copy()
+    outputs = [_output_schedule(cfg) for cfg in cfgs]
+    eps = [cfg.epsilon_at(grid) for cfg in cfgs]
     cm = grid.cell_measure
-    values = u0.values.copy()
-    t = 0.0
-    cum_diss = 0.0
-    snapshots: list[tuple[float, ScalarField]] = [(0.0, ScalarField(grid, values.copy()))]
-
+    t = [0.0] * len(members)
+    out_idx = [0] * len(members)
+    cum_diss = [0.0] * len(members)
+    snapshots = [[(0.0, ScalarField(grid, v.copy()))] for v in start]
     # Iterates stay nonnegative (u0 is checked and every update clamped at
-    # zero), so the L^1 norm is the mass and the L^inf norm is the max.
-    rows: list[tuple[float, ...]] = []
+    # zero), so the L^1 norm is the mass and the L^inf norm is the max.  Each
+    # member's rows go flat into one array of doubles, in Observables order.
+    rows = [array("d") for _ in members]
+    n_fields = len(fields(Observables))
 
-    def record(tnow, vals, uhat):
-        rows.append((
-            tnow,
-            float(vals.sum()) * cm,
-            float(vals.min()),
-            float(vals.max()),
-            float(np.sqrt((vals**2).sum() * cm)),
-            0.5 * mode_energy(grid, uhat),
-            cum_diss,
-            _grad_sup(grid, vals),
-        ))
+    # Row r of the batch arrays steps member active[r]; a member's row is
+    # dropped once it reaches its t_end.
+    active = list(range(len(members)))
 
-    out_idx = 0
+    def regroup():
+        """The active members' viscosities, and their m if they share one."""
+        ms = {cfgs[i].m for i in active}
+        return [eps[i] for i in active], (ms.pop() if len(ms) == 1 else None)
+
+    def record(which, uhat):
+        vals = values
+        if len(which) < len(active):
+            vals, uhat = values[which], uhat[which]
+        columns = [
+            _listed(column)
+            for column in (
+                vals.sum(axis=grid.axes) * cm,
+                vals.min(axis=grid.axes),
+                vals.max(axis=grid.axes),
+                np.sqrt((vals**2).sum(axis=grid.axes) * cm),
+                0.5 * mode_energy(grid, uhat),
+                _grad_sup(grid, vals),
+            )
+        ]
+        for r, mass, umin, umax, l2, energy, gsup in zip(which, *columns):
+            i = active[r]
+            rows[i].extend((t[i], mass, umin, umax, l2, energy, cum_diss[i], gsup))
+
+    every = [cfg.record_every for cfg in cfgs]
+    stop = [cfg.t_end - 1e-13 for cfg in cfgs]
+    eps_rows, shared_m = regroup()
     step_idx = 0
     while True:
-        uhat = np.fft.rfftn(values)
+        uhat = half_spectrum(grid, values)
         faces = coulomb_drift(grid, uhat)
-        if step_idx % cfg.record_every == 0:
-            record(t, values, uhat)
-        if t >= cfg.t_end - 1e-13:
-            if rows[-1][0] < t - 1e-15:
-                record(t, values, uhat)
-            break
-        gap = outputs[out_idx] - t
-        dt = cfl_dt(
-            ScalarField(grid, values), cfg, next_output_gap=gap, faces=faces
-        )
-        mob = _mobility(values, cfg.m)
-        cum_diss += dt * _dissipation_density(mob, faces) * cm
-        values = _euler_update(grid, values, mob, faces, dt, eps)
+        due = [r for r, i in enumerate(active) if step_idx % every[i] == 0]
+        if due:
+            record(due, uhat)
+        done = [r for r, i in enumerate(active) if t[i] >= stop[i]]
+        if done:
+            late = [r for r in done if rows[active[r]][-n_fields] < t[active[r]] - 1e-15]
+            if late:
+                record(late, uhat)
+            keep = [r for r in range(len(active)) if r not in done]
+            if not keep:
+                break
+            active = [active[r] for r in keep]
+            values, faces = values[keep], tuple(w[keep] for w in faces)
+            eps_rows, shared_m = regroup()
+        dts = []
+        face_rows = zip(*[_members(w, grid) for w in faces])
+        for i, v, member_faces in zip(active, _members(values, grid), face_rows):
+            gap = outputs[i][out_idx[i]] - t[i]
+            try:
+                dts.append(cfl_dt(ScalarField(grid, v), cfgs[i], gap, member_faces))
+            except SolverError as exc:
+                fail(i, str(exc))
+        # Each member's exponent stays a Python float: np.power has fast
+        # paths for a scalar exponent (square, sqrt) that an array one skips.
+        if shared_m is not None:
+            mob = _mobility(values, shared_m)
+        else:
+            mob = np.stack([_mobility(v, cfgs[i].m) for v, i in zip(values, active)])
+        dissipation = _listed(_dissipation_density(mob, faces))
+        values, worst = _euler_update(grid, values, mob, faces, dts, eps_rows)
+        lowest = min(worst)
+        if lowest < -_NEGATIVITY_GUARD:
+            fail(active[worst.index(lowest)], _negativity(lowest))
         if not np.isfinite(values).all():
-            raise SolverError(f"non-finite values at t = {t + dt:.6g}")
-        t += dt
+            r = _listed(np.isfinite(values).all(axis=grid.axes)).index(False)
+            fail(active[r], f"non-finite values at t = {t[active[r]] + dts[r]:.6g}")
         step_idx += 1
-        if abs(t - outputs[out_idx]) < 1e-12:
-            t = outputs[out_idx]
-            snapshots.append((t, ScalarField(grid, values.copy())))
-            out_idx = min(out_idx + 1, len(outputs) - 1)
+        for i, dt, dissipated, v in zip(active, dts, dissipation, _members(values, grid)):
+            cum_diss[i] += dt * dissipated * cm
+            t[i] += dt
+            if abs(t[i] - outputs[i][out_idx[i]]) < 1e-12:
+                t[i] = outputs[i][out_idx[i]]
+                snapshots[i].append((t[i], ScalarField(grid, v.copy())))
+                out_idx[i] = min(out_idx[i] + 1, len(outputs[i]) - 1)
 
-    times, mass, umin, umax, l2, energy, diss, gsup = (np.array(c) for c in zip(*rows))
-    obs = Observables(
-        t=times,
-        mass=mass,
-        min=umin,
-        max=umax,
-        l2=l2,
-        energy=energy,
-        cumulative_dissipation=diss,
-        grad_sup=gsup,
-    )
-    return Trajectory(snapshots=snapshots, observables=obs, m=cfg.m, epsilon=eps)
+    # Popping frees each member's flat rows once they are copied out.
+    rows.reverse()
+    return [
+        Trajectory(
+            snapshots=snapshots[i],
+            observables=Observables(*np.frombuffer(rows.pop()).reshape(-1, n_fields).T.copy()),
+            m=cfg.m,
+            epsilon=eps[i],
+        )
+        for i, cfg in enumerate(cfgs)
+    ]
 
 
 def dissipation_check(traj: Trajectory) -> float:
@@ -496,16 +631,16 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
     for n in range(len(snaps) - 1):
         u = snaps[n][1].values
         dt = dts[n]
-        faces = coulomb_drift(grid, np.fft.rfftn(u))
+        faces = coulomb_drift(grid, half_spectrum(grid, u))
         p_next = bank(times[n + 1])
         eta = np.abs(u - kap)
         sgn = np.sign(u - kap)
         q = sgn * (_mobility(u, m) - km)
         z = -sgn * km * (u - ubar)
         totals += (stack(eta) @ stack(p_next - p_now).T) * cm
-        for axis, w in enumerate(faces):
-            flux = _upwind_face_values(q, w, axis - grid.dim) * w
-            dphi = (_next(p_next, axis - grid.dim) - p_next) / grid.h
+        for axis, w in zip(grid.axes, faces):
+            flux = _upwind_face_values(q, w, axis) * w
+            dphi = (_next(p_next, axis) - p_next) / grid.h
             totals -= dt * (stack(flux) @ stack(dphi).T) * cm
         totals += dt * (stack(z) @ stack(p_next).T) * cm
         if eps > 0.0:

@@ -1,22 +1,27 @@
 """Named verification suites run by the command-line `verify` entry point.
 
 This module is the one place that builds each verification scenario: the
-cosine run, the block run, the m = 4 waiting-time runs, the weak-strong
-pair, the envelope fronts, the m = 2 single-vortex residuals and
+cosine runs, the block run, the m = 4 waiting-time runs, the weak-strong
+runs, the envelope fronts, the m = 2 single-vortex residuals and
 COMPARISON_STATE are shared by the suites below and by the acceptance gate
-in tests/, so a scenario is declared once.
+in tests/, so a scenario is declared once.  The builders of same-grid runs
+(cosine_runs, weak_strong_runs, waiting_time_runs) step their members as
+one pde_solver.run_batch batch; each trajectory is bit-identical to the
+member run alone.
 
 A suite is a list of independent tasks, each producing CheckResults from
 fresh simulations or front integrations; tasks may run concurrently (they
 share nothing) and results are reported in task order regardless of the
-completion order, keeping reports byte-deterministic.
+completion order, keeping reports byte-deterministic.  In
+theorem-suite-small the four cosine members (m = 0.5, 1, 2, 4) are one
+task, which reports their checks in that order.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from coulombflow.hj_fronts import (
     viscosity_residual,
 )
 from coulombflow.initial_conditions import build_initial_condition
-from coulombflow.pde_solver import SolverConfig, Trajectory, run
+from coulombflow.pde_solver import SolverConfig, Trajectory, run, run_batch
 from coulombflow.rearrangement import (
     rearrange,
     support_measure,
@@ -57,6 +62,7 @@ from coulombflow.verify import (
 __all__ = [
     "SUITES",
     "run_suite",
+    "cosine_runs",
     "cosine_run",
     "block_run",
     "waiting_time_runs",
@@ -70,20 +76,29 @@ __all__ = [
 COMPARISON_STATE = SupersolutionState(C=0.25, alpha=0.8, s2=0.35, s3=0.48, ubar=1.0, m=2.0)
 
 
-def cosine_run(n: int, m: float, t_end: float = 5.0, n_out: int = 50) -> Trajectory:
+def cosine_runs(
+    n: int, ms: Sequence[float], t_end: float = 5.0, n_out: int = 50
+) -> dict[float, Trajectory]:
     """u0 = 1 + 0.5 cos(2 pi x) at d = 1, eps = h, n_out equally spaced snapshots.
 
-    The decay and barrier scenario; m < 1 runs carry the floor 0.25.
+    The decay and barrier scenario, one batch with a member per m in ms;
+    returns m -> trajectory.  m < 1 runs carry the floor 0.25.
     """
     grid = make_grid(1, n)
     u0 = build_initial_condition(grid, {"kind": "cosine", "base": 1.0, "amplitudes": [0.5]})
-    cfg = SolverConfig(
-        m=m,
-        t_end=t_end,
-        output_times=np.linspace(t_end / n_out, t_end, n_out),
-        floor_m_lt_1=0.25 if m < 1 else 0.0,
-    )
-    return run(u0, cfg)
+    output_times = np.linspace(t_end / n_out, t_end, n_out)
+    trajectories = run_batch([
+        (u0, SolverConfig(
+            m=m, t_end=t_end, output_times=output_times, floor_m_lt_1=0.25 if m < 1 else 0.0
+        ))
+        for m in ms
+    ])
+    return dict(zip(ms, trajectories))
+
+
+def cosine_run(n: int, m: float, t_end: float = 5.0, n_out: int = 50) -> Trajectory:
+    """The one-member case of `cosine_runs`."""
+    return cosine_runs(n, (m,), t_end, n_out)[m]
 
 
 def block_run(n: int, m: float, t_end: float, output_times=None) -> Trajectory:
@@ -121,29 +136,24 @@ def waiting_time_runs(n: int) -> dict:
             m=m, epsilon=0.0, t_end=t_end, output_times=np.linspace(t_end / 25, t_end, 25)
         )
 
-    return {
-        "jump": run(jump, zero_viscosity(0.25)),
-        "lipschitz": run(lip, zero_viscosity(0.05)),
-        "critical_u0": crit,
-        "m": m,
-    }
+    traj_jump, traj_lip = run_batch([(jump, zero_viscosity(0.25)), (lip, zero_viscosity(0.05))])
+    return {"jump": traj_jump, "lipschitz": traj_lip, "critical_u0": crit, "m": m}
 
 
 def weak_strong_runs(n: int) -> tuple[Trajectory, dict[float, Trajectory]]:
     """m = 1 run from 1 + 0.5 cos(2 pi x), and runs from it plus delta (pi / 2) sin(2 pi x).
 
     Returns the base run and a dict delta -> perturbed run, for delta = 1e-2
-    and 5e-3; all runs share their snapshot times.
+    and 5e-3; all runs share their snapshot times and run as one batch.
     """
     grid = make_grid(1, n)
     x = grid.axis_coordinates()
     base = 1 + 0.5 * np.cos(2 * np.pi * x)
+    deltas = (1e-2, 5e-3)
+    fields = [base] + [base + delta * (np.pi / 2) * np.sin(2 * np.pi * x) for delta in deltas]
     cfg = SolverConfig(m=1.0, t_end=1.0, output_times=np.linspace(0.05, 1.0, 20))
-    traj_u = run(ScalarField(grid, base), cfg)
-    return traj_u, {
-        delta: run(ScalarField(grid, base + delta * (np.pi / 2) * np.sin(2 * np.pi * x)), cfg)
-        for delta in (1e-2, 5e-3)
-    }
+    traj_u, *perturbed = run_batch([(ScalarField(grid, f), cfg) for f in fields])
+    return traj_u, dict(zip(deltas, perturbed))
 
 
 def envelope_front(m: float) -> FrontTrajectory:
@@ -169,17 +179,20 @@ def single_vortex_m2_residuals() -> tuple[float, float]:
     )
 
 
-def _task_cosine_checks(n: int, m: float) -> list[CheckResult]:
-    traj = cosine_run(n, m)
-    out = check_conservation_and_monotonicity(traj)
-    out += check_barriers(traj)
-    if m in (0.5, 1.0, 2.0):
-        out += check_asymptotics(traj)
-    if m == 1.0:
-        profiles = [(t, rearrange(f)) for t, f in traj.snapshots]
-        out.append(check_subsolution(profiles, m, 1.0))
-    for r in out:
-        r.context.setdefault("run", f"cosine-m{m}-n{n}")
+def _task_cosine_checks(n: int) -> list[CheckResult]:
+    """The cosine checks for m = 0.5, 1, 2 and 4, from one batch, in that order."""
+    out = []
+    for m, traj in cosine_runs(n, (0.5, 1.0, 2.0, 4.0)).items():
+        checks = check_conservation_and_monotonicity(traj)
+        checks += check_barriers(traj)
+        if m in (0.5, 1.0, 2.0):
+            checks += check_asymptotics(traj)
+        if m == 1.0:
+            profiles = [(t, rearrange(f)) for t, f in traj.snapshots]
+            checks.append(check_subsolution(profiles, m, 1.0))
+        for r in checks:
+            r.context.setdefault("run", f"cosine-m{m}-n{n}")
+        out += checks
     return out
 
 
@@ -288,8 +301,7 @@ def _negative_control() -> list[CheckResult]:
 
 def _small_suite_tasks(n: int) -> list[Callable[[], list[CheckResult]]]:
     return [
-        lambda m=m: _task_cosine_checks(n, m) for m in (0.5, 1.0, 2.0, 4.0)
-    ] + [
+        lambda: _task_cosine_checks(n),
         lambda: _task_weak_strong(n),
         _task_front_exactness,
         _task_supersolution_bounds,

@@ -248,7 +248,7 @@ def waiting_window(u0: ScalarField, m: float) -> float:
     c = float(np.min(vals))
     if sup <= 0:
         return math.inf
-    grad = _grad_sup(u0.grid, vals)
+    grad = float(_grad_sup(u0.grid, vals))
     if grad == 0.0:
         return math.inf
     cm2 = c ** (m - 2.0) if c > 0 else (0.0 if m > 2 else math.inf)

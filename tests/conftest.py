@@ -22,8 +22,8 @@ def cosine_field(n, base=1.0, amp=0.5):
 
 @pytest.fixture(scope="session")
 def cosine_runs_n256():
-    """Reference runs u0 = 1 + 0.5 cos(2 pi x), n = 256, t_end = 5."""
-    return {m: suites.cosine_run(256, m) for m in ACCEPTANCE_MS}
+    """Reference runs u0 = 1 + 0.5 cos(2 pi x), n = 256, t_end = 5, as one batch."""
+    return suites.cosine_runs(256, ACCEPTANCE_MS)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from coulombflow.pde_solver import (
     entropy_residual,
     mollify,
     run,
+    run_batch,
     step,
 )
 from coulombflow.initial_conditions import build_initial_condition
@@ -389,6 +390,85 @@ def test_2d_symmetric_data_stays_symmetric(n):
     assert len(traj.snapshots) == 6
     for _, f in traj.snapshots:
         assert np.max(np.abs(f.values - f.values.T)) <= 1e-12
+
+
+def _assert_identical(got, want):
+    """Equal values and equal sign bits, so -0.0 and 0.0 differ."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _batch_members_1d():
+    g = make_grid(1, 64)
+    x = g.axis_coordinates()
+    block = np.where(np.abs(x - 0.5) < 0.2, 2.0, 0.0)  # exact zeros outside
+    bump = np.maximum(2.0 * (np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x)), 0.0)
+    return [
+        (ScalarField(g, np.maximum(bump, 0.05)), SolverConfig(
+            m=0.5, floor_m_lt_1=0.05, t_end=0.1, output_times=np.linspace(0.01, 0.1, 10),
+        )),
+        (ScalarField(g, block), SolverConfig(
+            m=1.0, epsilon=0.0, cfl=0.9, t_end=0.07, output_times=[0.02, 0.05], record_every=3,
+        )),
+        (ScalarField(g, block), SolverConfig(
+            m=2.0, epsilon=0.003, cfl=0.3, t_end=0.12,
+            output_times=np.linspace(0.03, 0.12, 4), record_every=2,
+        )),
+        (ScalarField(g, bump), SolverConfig(
+            m=4.0, cfl=0.5, t_end=0.05, output_times=[0.05], record_every=5, mollify_width=0.02,
+        )),
+    ]
+
+
+def _batch_members_2d():
+    g = make_grid(2, 16)
+    x, y = g.coordinates()
+    bump = np.maximum(2.0 * (np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * y)), 0.0)
+    return [
+        (ScalarField(g, bump), SolverConfig(
+            m=2.0, t_end=0.03, output_times=np.linspace(0.01, 0.03, 3), record_every=3,
+        )),
+        (ScalarField(g, 1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)), SolverConfig(
+            m=2.0, epsilon=0.0, t_end=0.02, output_times=np.linspace(0.004, 0.02, 5),
+        )),
+    ]
+
+
+@pytest.mark.parametrize("members", [_batch_members_1d(), _batch_members_2d()], ids=["d1", "d2"])
+def test_run_batch_matches_run(members):
+    batch = run_batch(members)
+    assert len(batch) == len(members)
+    for (u0, cfg), got in zip(members, batch):
+        want = run(u0, cfg)
+        assert (got.m, got.epsilon) == (want.m, want.epsilon)
+        assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+        for (_, g_field), (_, w_field) in zip(got.snapshots, want.snapshots):
+            _assert_identical(g_field.values, w_field.values)
+        for field in dataclasses.fields(want.observables):
+            _assert_identical(
+                getattr(got.observables, field.name), getattr(want.observables, field.name)
+            )
+    # the members really differ in step count, recording and finishing time
+    assert len({len(traj.observables.t) for traj in batch}) == len(batch)
+
+
+def test_run_batch_rejects_empty_and_mixed_grids():
+    with pytest.raises(ValueError, match="at least one member"):
+        run_batch([])
+    cfg = SolverConfig(m=1.0, t_end=0.01)
+    with pytest.raises(ValueError, match="member 1 is on"):
+        run_batch([(cosine(64), cfg), (cosine(32), cfg)])
+
+
+def test_run_batch_error_names_the_member():
+    cfg = SolverConfig(m=1.0, t_end=0.01)
+    negative = ScalarField(make_grid(1, 64), cosine(64).values - 1.0)
+    with pytest.raises(SolverError, match="^member 1: initial data must be nonnegative"):
+        run_batch([(cosine(64), cfg), (negative, cfg)])
+    # m = 300 underflows the first step inside the stepping loop
+    steep = SolverConfig(m=300.0, t_end=0.01)
+    with pytest.raises(SolverError, match="^member 2: time step underflow"):
+        run_batch([(cosine(64), cfg), (cosine(64), cfg), (cosine(64), steep)])
 
 
 class TestMollify:
