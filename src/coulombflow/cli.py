@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from coulombflow.config import ConfigError, load_config
-from coulombflow.csvio import read_csv, write_csv
+from coulombflow.csvio import format_cells, read_csv, write_csv
 from coulombflow.hj_fronts import FRONT_SYSTEMS
 from coulombflow.pde_solver import SolverError, run
 from coulombflow.rearrangement import rearrange, support_measure, support_threshold
@@ -48,6 +48,14 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg.solver is None:
         raise ConfigError("simulate needs grid, solver and initial_condition sections")
+    # snapshot files are named by their time tag, so two tags must not collide
+    times = [0.0, *cfg.solver.output_schedule()]
+    for a, b in zip(times, times[1:]):
+        if _t_tag(a) == _t_tag(b):
+            raise ConfigError(
+                f"solver.output_times: snapshots at t = {a!r} and t = {b!r} would both be "
+                f"written as u_{_t_tag(a)}.csv; output times must differ in the sixth decimal"
+            )
     out_dir = args.out or cfg.outputs.get("dir", "out")
     _ensure_outdir(out_dir)
     formats = cfg.outputs.get("formats", ["csv"])
@@ -73,26 +81,26 @@ def cmd_simulate(args) -> int:
         ],
     )
     theta = support_threshold(traj.snapshots[0][1])
+    # The grid columns are the same in every snapshot file: format them once.
+    axis = format_cells(grid.axis_coordinates())
+    if grid.dim == 1:
+        u_header, u_grid = ["x", "value"], [axis]
+    else:
+        # C order of an "ij" meshgrid: x1 holds each coordinate n times in
+        # a row, x2 the whole axis n times; both share the n axis strings.
+        x1 = [x for x in axis for _ in range(grid.n)]
+        u_header, u_grid = ["x1", "x2", "value"], [x1, axis * grid.n]
+    s_cells = None
     for t, f in traj.snapshots:
         tag = _t_tag(t)
-        if grid.dim == 1:
-            write_csv(
-                os.path.join(out_dir, f"u_{tag}.csv"),
-                ["x", "value"],
-                [grid.axis_coordinates(), f.values],
-            )
-        else:
-            x1, x2 = grid.coordinates()
-            write_csv(
-                os.path.join(out_dir, f"u_{tag}.csv"),
-                ["x1", "x2", "value"],
-                [x1.ravel(), x2.ravel(), f.values.ravel()],
-            )
+        write_csv(os.path.join(out_dir, f"u_{tag}.csv"), u_header, [*u_grid, f.values.ravel()])
         prof = rearrange(f)
+        if s_cells is None:
+            s_cells = format_cells(prof.s_midpoints)
         write_csv(
             os.path.join(out_dir, f"k_{tag}.csv"),
             ["s", "u_star", "k"],
-            [prof.s_midpoints, prof.u_star, prof.k_at_midpoints()],
+            [s_cells, prof.u_star, prof.k_at_midpoints()],
         )
     support = np.array([support_measure(f, theta) for _, f in traj.snapshots])
     write_csv(os.path.join(out_dir, "support.csv"), ["t", "S"], [traj.times, support])

@@ -6,10 +6,10 @@ that uses the section, all at load time: `make_grid` checks the grid,
 `build_initial_condition` the initial data, `SolverConfig` when it is built
 the solver, and the state class that `fronts.mode` names the front system.
 Their errors become a `ConfigError` that names the section, and for the grid,
-the solver, `verify.n` and a missing `fronts` key the key.  This module
-checks only what no owner does: `output_times` within (0, t_end], `mollify`
-"off" or a width > 0, `fronts.t_end` positive and finite, no `fronts` key
-that the chosen mode does not use, and `outputs.formats`.
+the solver, `initial_condition.mollify`, `verify.n` and a missing `fronts`
+key the key.  This module checks only what no owner does: `fronts.t_end`
+positive and finite, no `fronts` key that the chosen mode does not use, and
+`outputs.formats`.
 """
 
 from __future__ import annotations
@@ -100,9 +100,7 @@ def _mollify_width(ic: dict, grid: TorusGrid) -> float:
     mol = ic["mollify"]
     if mol == "off":
         return 0.0
-    if not (isinstance(mol, numbers.Real) and mol > 0):
-        raise ConfigError(f"initial_condition.mollify must be 'off' or a width > 0, got {mol!r}")
-    return float(mol)
+    return float(mol) if isinstance(mol, numbers.Real) else mol
 
 
 def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict) -> None:
@@ -110,14 +108,11 @@ def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict)
         cfg.grid = make_grid(**grid)
     with _owned("initial_condition"):
         cfg.u0 = build_initial_condition(cfg.grid, ic)
-    width = _mollify_width(ic, cfg.grid)
     with _owned("solver", keyed=True):
-        cfg.solver = SolverConfig(**solver, mollify_width=width)
-    times = cfg.solver.output_times
-    if not isinstance(times, (list, tuple)) or not all(
-        isinstance(t, numbers.Real) and 0 < t <= cfg.solver.t_end for t in times
-    ):
-        raise ConfigError("solver.output_times must be numbers in (0, t_end]")
+        solver_cfg = SolverConfig(**solver)
+    # SolverConfig owns the width rule; the key it comes from is this one
+    with _owned("initial_condition.mollify"):
+        cfg.solver = dataclasses.replace(solver_cfg, mollify_width=_mollify_width(ic, cfg.grid))
 
 
 def _build_fronts(fronts: dict) -> FrontRun:

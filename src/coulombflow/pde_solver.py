@@ -64,8 +64,10 @@ class SolverConfig:
 
     epsilon = "auto" resolves to the cell width h when the run starts. A
     positive floor on the initial minimum is mandatory when m < 1 (the
-    mobility is not Lipschitz at zero density). mollify_width > 0 smooths the
-    initial data with a spectral Gaussian of that standard deviation. The
+    mobility is not Lipschitz at zero density). Snapshots are taken at the
+    output_times, each in (0, t_end], and at t_end. mollify_width > 0 smooths
+    the initial data with a spectral Gaussian of that standard deviation, and
+    0 leaves it as it is. The
     advective and viscous step bounds are each scaled by cfl and the update is
     monotone only while they sum to at most 1, so a positive viscosity
     ("auto" included, since h > 0) needs cfl <= 0.5; with epsilon = 0, cfl may
@@ -101,6 +103,15 @@ class SolverConfig:
             )
         if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        times = self.output_times
+        if not isinstance(times, (list, tuple, np.ndarray)) or not all(
+            isinstance(t, numbers.Real) and 0 < t <= self.t_end for t in times
+        ):
+            raise ValueError("output_times must be numbers in (0, t_end]")
+        if not (isinstance(self.mollify_width, numbers.Real) and 0 <= self.mollify_width < np.inf):
+            raise ValueError(
+                f"mollify_width must be a finite number >= 0, got {self.mollify_width!r}"
+            )
         auto = self.epsilon == "auto"
         if not (auto or (isinstance(self.epsilon, numbers.Real) and 0 <= self.epsilon < np.inf)):
             raise ValueError(
@@ -111,6 +122,16 @@ class SolverConfig:
                 f"cfl must be <= 0.5 when epsilon > 0 (the advective and viscous "
                 f"bounds are each scaled by cfl and must sum to at most 1), got {self.cfl}"
             )
+
+    def output_schedule(self) -> list[float]:
+        """The snapshot times after t = 0: the distinct output times, ending at t_end."""
+        outputs: list[float] = []
+        for t in sorted(float(t) for t in self.output_times):
+            if not outputs or t - outputs[-1] > 1e-12:
+                outputs.append(t)
+        if not outputs or outputs[-1] < self.t_end - 1e-12:
+            outputs.append(self.t_end)
+        return outputs
 
     def epsilon_at(self, grid: TorusGrid) -> float:
         """The viscosity on `grid`: its cell width h for "auto"."""
@@ -372,17 +393,6 @@ def _grad_sup(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.max(axis=grid.axes))
 
 
-def _output_schedule(cfg: SolverConfig) -> list[float]:
-    """The distinct output times in (0, t_end], ending at t_end."""
-    outputs: list[float] = []
-    for t in sorted(float(t) for t in cfg.output_times if 0.0 < t <= cfg.t_end):
-        if not outputs or t - outputs[-1] > 1e-12:
-            outputs.append(t)
-    if not outputs or outputs[-1] < cfg.t_end - 1e-12:
-        outputs.append(cfg.t_end)
-    return outputs
-
-
 def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
     """Integrate u0 to cfg.t_end: the one-member case of `run_batch`."""
     return run_batch([(u0, cfg)])[0]
@@ -430,7 +440,7 @@ def run_batch(members: Sequence[tuple[ScalarField, SolverConfig]]) -> list[Traje
 
     start = [mollify(u0, cfg.mollify_width).values for u0, cfg in members]
     values = np.stack(start) if len(start) > 1 else start[0].copy()
-    outputs = [_output_schedule(cfg) for cfg in cfgs]
+    outputs = [cfg.output_schedule() for cfg in cfgs]
     eps = [cfg.epsilon_at(grid) for cfg in cfgs]
     cm = grid.cell_measure
     t = [0.0] * len(members)

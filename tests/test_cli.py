@@ -9,10 +9,11 @@ import pytest
 
 from coulombflow.cli import main
 from coulombflow import csvio
-from coulombflow.csvio import read_csv, write_csv
+from coulombflow.csvio import format_cells, read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
 from coulombflow.hj_fronts import integrate_supersolution
-from coulombflow.pde_solver import SolverConfig
+from coulombflow.pde_solver import SolverConfig, run
+from coulombflow.rearrangement import rearrange
 from coulombflow.torus_field import ScalarField, TorusGrid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -68,7 +69,24 @@ MALFORMED = [
         "simulate", sim_doc("solver", epsilon=float("inf")), "solver", "epsilon",
         id="solver.epsilon-inf",
     ),
+    pytest.param(
+        "simulate", sim_doc("solver", output_times=[0.1, 2.0, -1.0]), "solver", "output_times",
+        id="solver.output_times-outside",
+    ),
+    # snapshot files are named by %.6f of their time: colliding names are rejected
+    pytest.param(
+        "simulate", sim_doc("solver", output_times=[0.1, 0.1000002]), "solver", "output_times",
+        id="solver.output_times-same-tag",
+    ),
+    pytest.param(
+        "simulate", sim_doc("solver", output_times=[2e-7, 0.1]), "solver", "output_times",
+        id="solver.output_times-tag-of-t0",
+    ),
     pytest.param("simulate", sim_doc("grid", n=16.0), "grid", "n", id="grid.n-float"),
+    pytest.param(
+        "simulate", sim_doc("initial_condition", mollify=-3.0), "initial_condition", "mollify",
+        id="initial_condition.mollify-negative",
+    ),
     pytest.param(
         "simulate", sim_ic(kind="cosine", amplitudes=[0.5]), "initial_condition", None,
         id="cosine-no-base",
@@ -244,6 +262,44 @@ class TestSimulate:
         _, cols = read_csv(out / "u_0.000000.csv")
         assert cols["value"] == pytest.approx(vals)
 
+    def test_colliding_snapshot_names_rejected_before_the_run(self, tmp_path, capsys):
+        # 0.05 and 0.0500002 both print as u_0.050000.csv
+        doc = json.loads(open(os.path.join(CONFIG_DIR, "demo_cosine_m1.json")).read())
+        doc["solver"].update(t_end=0.1, output_times=[0.05, 0.0500002])
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "solver.output_times" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 9), (2, 16)])
+    def test_snapshot_files_match_float_column_reference(self, tmp_path, dim, n):
+        doc = sim_doc("grid", dim=dim, n=n)
+        doc["solver"].update(t_end=0.2, output_times=[0.1])
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        # reference: every column handed to write_csv as floats, file by file
+        loaded = load_config(cfg)
+        grid, ref = loaded.grid, tmp_path / "ref"
+        ref.mkdir()
+        for t, f in run(loaded.u0, loaded.solver).snapshots:
+            tag = f"{t:.6f}"
+            header = ["x", "value"] if dim == 1 else ["x1", "x2", "value"]
+            coords = [x.ravel() for x in grid.coordinates()]
+            write_csv(ref / f"u_{tag}.csv", header, [*coords, f.values.ravel()])
+            prof = rearrange(f)
+            write_csv(
+                ref / f"k_{tag}.csv",
+                ["s", "u_star", "k"],
+                [prof.s_midpoints, prof.u_star, prof.k_at_midpoints()],
+            )
+        names = sorted(os.listdir(ref))
+        assert len(names) == 6
+        assert sorted(p for p in os.listdir(out) if p[:2] in ("u_", "k_")) == names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
     def test_wrong_file_length_rejected(self, tmp_path):
         src = tmp_path / "ic.csv"
         np.savetxt(src, np.ones(10), delimiter=",")
@@ -395,21 +451,48 @@ class TestCsvRoundTrip:
         assert np.array_equal(cols["v"], vals)
 
     def test_bytes_match_per_value_rule(self, tmp_path):
-        def fmt(x):
-            if isinstance(x, (int, np.integer)):
-                return str(int(x))
-            return format(float(x), ".17g")
-
-        nrows = 2 * csvio._BLOCK_ROWS + 37
-        rng = np.random.default_rng(3)
-        floats = rng.standard_normal(nrows) * 10.0 ** rng.integers(-20, 20, nrows)
-        floats[:6] = [1e-300, -0.0, np.inf, -np.inf, -1e-300, 0.0]
-        ints = rng.integers(-(10**12), 10**12, nrows)
-        flags = rng.random(nrows) < 0.5
-        columns = [floats, ints, flags, np.arange(nrows)]
+        columns = rule_columns(2 * csvio._BLOCK_ROWS + 37)
+        nrows = len(columns[0])
         p = tmp_path / "rows.csv"
         write_csv(p, ["f", "i", "b", "k"], columns)
         want = "f,i,b,k\n" + "".join(
-            ",".join(fmt(c[i]) for c in columns) + "\n" for i in range(nrows)
+            ",".join(rule_cell(c[i]) for c in columns) + "\n" for i in range(nrows)
         )
         assert p.read_bytes() == want.encode()
+
+    def test_format_cells_follows_the_rule(self):
+        for column in rule_columns(50):
+            assert format_cells(column) == [rule_cell(v) for v in column]
+        assert format_cells(2.5) == ["2.5"]
+
+    def test_formatted_columns_keep_the_bytes(self, tmp_path):
+        # more than two blocks, string columns between array columns
+        floats, ints, flags, index = rule_columns(2 * csvio._BLOCK_ROWS + 37)
+        header = ["f", "i", "b", "k"]
+        write_csv(tmp_path / "arrays.csv", header, [floats, ints, flags, index])
+        mixed = [format_cells(floats), ints, format_cells(flags), index]
+        write_csv(tmp_path / "mixed.csv", header, mixed)
+        assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+    def test_formatted_column_of_wrong_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="share a length"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3.0), format_cells(np.arange(2.0))])
+        with pytest.raises(ValueError, match="share a length"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [format_cells(np.arange(3.0)), np.arange(4.0)])
+
+
+def rule_cell(x):
+    """The per-value rule: integers in decimal, anything else at 17 digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def rule_columns(nrows):
+    """Float, integer, bool and index columns; the floats start at the edge cases."""
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(nrows) * 10.0 ** rng.integers(-20, 20, nrows)
+    floats[:6] = [1e-300, -0.0, np.inf, -np.inf, -1e-300, 0.0]
+    ints = rng.integers(-(10**12), 10**12, nrows)
+    flags = rng.random(nrows) < 0.5
+    return [floats, ints, flags, np.arange(nrows)]

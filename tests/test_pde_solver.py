@@ -92,6 +92,20 @@ class TestCflDt:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.cfl = 0.95
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"output_times": [0.05, 2.0, -1.0], "mollify_width": -3.0}, "output_times"),
+            ({"output_times": 0.05}, "output_times"),
+            ({"output_times": [0.05], "mollify_width": -3.0}, "mollify_width"),
+            ({"mollify_width": np.inf}, "mollify_width"),
+        ],
+        ids=["times-outside", "times-scalar", "width-negative", "width-inf"],
+    )
+    def test_output_times_and_mollify_width_checked_when_built(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            run(cosine(16), SolverConfig(m=1.0, t_end=0.1, **fields))
+
     def test_underflow_rejected(self):
         u = cosine(64)
         cfg = SolverConfig(m=2.0)
