@@ -5,6 +5,9 @@ Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
 verification failure, 2 usage or configuration error.  `verify --jobs N`
 runs suite tasks on N >= 1 threads (default 1); reports are identical for any N.
+simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files in up to one
+process per usable core (forked children write every share but the first);
+the files are byte-identical for any core count, and no flag sets it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,6 +46,63 @@ def _ensure_outdir(path: str) -> None:
 
 def _t_tag(t: float) -> str:
     return f"{t:.6f}"
+
+
+def _write_snapshots(out_dir, snapshots, u_header, u_grid, s_cells) -> None:
+    """Write u_<t>.csv and the rearranged k_<t>.csv of each (t, field)."""
+    for t, f in snapshots:
+        tag = _t_tag(t)
+        prof = rearrange(f)
+        write_csv(os.path.join(out_dir, f"u_{tag}.csv"), u_header, [*u_grid, f.values.ravel()])
+        write_csv(
+            os.path.join(out_dir, f"k_{tag}.csv"),
+            ["s", "u_star", "k"],
+            [s_cells, prof.u_star, prof.k_at_midpoints()],
+        )
+
+
+def _usable_cores() -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shares(snapshots, write) -> None:
+    """Call write(snapshots[i::workers]) for each share i, one process per usable core.
+
+    The parent writes share 0 and forks a child for every other share, so no
+    more processes are busy than there are cores; the children share the
+    snapshots copy-on-write and leave by os._exit, never unwinding into the
+    caller.  Every child is reaped, also when the parent's own share fails,
+    and a child that exits nonzero raises OSError naming its time tags.
+    """
+    workers = min(_usable_cores(), len(snapshots))
+    children = {}
+    try:
+        for i in range(1, workers):
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on a fork while BLAS pool threads exist;
+                # the child only formats and writes files and leaves by os._exit.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded")
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    write(snapshots[i::workers])
+                    code = 0
+                except BaseException:
+                    # os._exit below drops the exception: print it here
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children[pid] = snapshots[i::workers]
+        write(snapshots[::workers])
+    finally:
+        failed = [share for pid, share in children.items() if os.waitpid(pid, 0)[1] != 0]
+    if failed:
+        tags = ", ".join(_t_tag(t) for share in failed for t, _ in share)
+        raise OSError(f"writing the snapshot files at t = {tags} failed in a child process")
 
 
 def cmd_simulate(args) -> int:
@@ -90,18 +151,11 @@ def cmd_simulate(args) -> int:
         # a row, x2 the whole axis n times; both share the n axis strings.
         x1 = [x for x in axis for _ in range(grid.n)]
         u_header, u_grid = ["x1", "x2", "value"], [x1, axis * grid.n]
-    s_cells = None
-    for t, f in traj.snapshots:
-        tag = _t_tag(t)
-        write_csv(os.path.join(out_dir, f"u_{tag}.csv"), u_header, [*u_grid, f.values.ravel()])
-        prof = rearrange(f)
-        if s_cells is None:
-            s_cells = format_cells(prof.s_midpoints)
-        write_csv(
-            os.path.join(out_dir, f"k_{tag}.csv"),
-            ["s", "u_star", "k"],
-            [s_cells, prof.u_star, prof.k_at_midpoints()],
-        )
+    s_cells = format_cells(rearrange(traj.snapshots[0][1]).s_midpoints)
+    _in_shares(
+        traj.snapshots,
+        lambda share: _write_snapshots(out_dir, share, u_header, u_grid, s_cells),
+    )
     support = np.array([support_measure(f, theta) for _, f in traj.snapshots])
     write_csv(os.path.join(out_dir, "support.csv"), ["t", "S"], [traj.times, support])
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:

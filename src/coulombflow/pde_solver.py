@@ -9,9 +9,12 @@ forward Euler on a cell-centered grid with
   * an explicit centered viscosity eps * Lap(u), eps = h by default, so grid
     refinement and viscosity removal are one knob.
 
-Fluxes telescope, so mass is conserved to roundoff.  Under the CFL bound the
-update is monotone: max is nonincreasing, min nondecreasing, and entropy
-production of the Kruzhkov pairs has the dissipative sign up to O(h).
+Fluxes telescope, so mass is conserved to roundoff.  The CFL bound is meant
+to keep the update monotone (max nonincreasing, min nondecreasing, and the
+entropy production of the Kruzhkov pairs dissipative up to O(h)), but that
+does not yet hold for every configuration the validator accepts: at d = 1,
+n = 8, m ~ 4.81 the max rises by about 0.1 within 7 steps.  ROADMAP item 2
+(a compatible Coulomb operator and a reaction-aware step bound) is the fix.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@ import glob
 import json
 import math
 import os
+import re
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from coulombflow import cli, csvio
 from coulombflow.cli import main
-from coulombflow import csvio
 from coulombflow.csvio import format_cells, read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
 from coulombflow.hj_fronts import integrate_supersolution
@@ -299,6 +300,55 @@ class TestSimulate:
         assert sorted(p for p in os.listdir(out) if p[:2] in ("u_", "k_")) == names
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_output_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, dim):
+        cfg = write_config(tmp_path / "c.json", sim_doc("grid", dim=dim, n=16))
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        outs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
+            outs.append(tmp_path / f"cores{cores}")
+            assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+            assert len(forks) == cores - 1  # the parent writes one share itself
+            forks.clear()
+        monkeypatch.delattr(os, "fork")  # no fork: one worker, in-process
+        outs.append(tmp_path / "nofork")
+        assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert sum(name.startswith("k_") for name in names) == 6
+        for out in outs[1:]:
+            assert sorted(os.listdir(out)) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+    # three workers: share i holds snapshots i and i + 3, at t = 0, 0.1, ..., 0.5
+    @pytest.mark.parametrize("bad", ["0.400000", "0.300000"], ids=["child-share", "parent-share"])
+    def test_failed_share_named_and_no_child_left(self, tmp_path, monkeypatch, bad):
+        cfg = write_config(tmp_path / "c.json", SIM_DOC)
+        out = tmp_path / "out"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        real_write = cli.write_csv
+
+        def failing_write(path, header, columns):
+            if bad in os.path.basename(path):
+                raise OSError(f"cannot write {path}")
+            real_write(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", failing_write)
+        with pytest.raises(OSError, match=re.escape(bad)):
+            main(["simulate", "--config", cfg, "--out", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # share 2 holds no failing tag: the child that wrote it finished
+        for tag in ("0.200000", "0.500000"):
+            assert (out / f"k_{tag}.csv").exists()
 
     def test_wrong_file_length_rejected(self, tmp_path):
         src = tmp_path / "ic.csv"

@@ -43,9 +43,8 @@ def dense_uniform_run(u0, m, t_end, eps="auto"):
     nat = cfl_dt(u0, probe)
     nsteps = int(np.ceil(t_end / (0.8 * nat)))
     dt = t_end / nsteps
-    cfg = SolverConfig(
-        m=m, epsilon=eps, t_end=t_end, output_times=np.arange(1, nsteps + 1) * dt
-    )
+    # linspace ends exactly at t_end; arange(1, nsteps + 1) * dt can end one ulp past it
+    cfg = SolverConfig(m=m, epsilon=eps, t_end=t_end, output_times=np.linspace(dt, t_end, nsteps))
     return run(u0, cfg), cfg
 
 
