@@ -7,6 +7,10 @@ m < 1 the right-hand side is not Lipschitz at 0 and the positive increasing
 branch through beta = 0 is selected by integrating the substituted variable
 psi = Phi^(1-m), whose dynamics psi' = (1-m)(ubar - psi^(1/(1-m))) is regular
 at psi = 0.
+
+scipy is imported inside `_solve` and `tau_half`, not at module top: this
+module is imported by the package and the CLI, and only a barrier solve
+needs scipy, so `simulate`, `fronts` and `plot` run without loading it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 __all__ = [
     "BarrierParams",
@@ -59,6 +61,8 @@ class BarrierIntegrationError(RuntimeError):
 
 
 def _solve(fun, t0: float, y0: float, t_eval: np.ndarray) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+
     t_end = float(t_eval[-1])
     if t_end == t0:
         return np.full(len(t_eval), y0)
@@ -138,6 +142,9 @@ def tau_half(params: BarrierParams) -> float:
         raise ValueError(f"tau_half requires 0 <= beta < ubar, got beta = {beta}")
     if beta >= 0.5 * ubar:
         return 0.0
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     t_max = 2.0 * 2.0**m / ((1.0 - m) * ubar**m) + 1.0
     q = 1.0 / (1.0 - m)
     target = (0.5 * ubar) ** (1.0 - m)

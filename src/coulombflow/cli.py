@@ -3,8 +3,9 @@
 Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 (analytic front ODE systems), verify (named check suites, JSON report),
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
-verification failure, 2 usage or configuration error.  `verify --jobs N`
-runs suite tasks on N >= 1 threads (default 1); reports are identical for any N.
+verification failure, 2 usage or configuration error or a failed output
+write.  `verify --jobs N` runs suite tasks on N >= 1 threads (default 1);
+reports are identical for any N.
 simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files in up to one
 process per usable core (forked children write every share but the first);
 the files are byte-identical for any core count, and no flag sets it.
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, SolverError) as exc:
+    except (ConfigError, ValueError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
