@@ -2,19 +2,21 @@
 
 This ODE bounds the running max and min of solutions of the transport model:
 trajectories started at the initial max (resp. min) dominate (resp. minorize)
-the solution pointwise.  Closed-form envelopes exist case by case; for
-m < 1 the right-hand side is not Lipschitz at 0 and the positive increasing
-branch through beta = 0 is selected by integrating the substituted variable
-psi = Phi^(1-m), whose dynamics psi' = (1-m)(ubar - psi^(1/(1-m))) is regular
-at psi = 0.
+the solution pointwise; closed-form envelopes bound the curve case by case.
 
-scipy is imported inside `_solve` and `tau_half`, not at module top: this
-module is imported by the package and the CLI, and only a barrier solve
-needs scipy, so `simulate`, `fronts` and `plot` run without loading it.
+The curve is the inverse of its exact time map.  With Phi = ubar (1 +
+e^-sigma)^q, q = -1 below ubar and +1 above, the ODE becomes ubar^m t =
+integral from sigma0 to sigma of (1 + e^-s)^p ds, with p = m - 1 below ubar,
+p = -m above and sigma0 = log(min(beta, ubar) / |beta - ubar|).  Outside
+|s| <= 36 the smooth integrand is e^-ps (s < 0) or 1 (s > 0) to ~1e-16
+relative, so both ends integrate and invert in closed form.  beta = inf and
+beta = 0 with m < 1 (the positive branch leaving 0) start at sigma0 = -inf;
+beta = 0 with m >= 1 has an infinite tail integral: the zero solution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -31,8 +33,7 @@ __all__ = [
     "upper_regularization",
 ]
 
-_RTOL = 1e-10
-_ATOL = 1e-13
+_TAIL, _PIECE = 36.0, 0.25  # closed-form ends beyond |sigma| = 36; quadrature pieces
 
 
 @dataclass(frozen=True)
@@ -52,36 +53,73 @@ class BarrierParams:
             raise ValueError(f"beta must be >= 0 or +inf, got {self.beta}")
 
 
-class BarrierIntegrationError(RuntimeError):
-    """Raised when the adaptive integrator fails; carries the last bracket."""
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """8-point Gauss-Legendre rule on [0, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    return 0.5 * (x + 1.0), 0.5 * w
 
-    def __init__(self, message: str, t_bracket=None):
-        super().__init__(message)
-        self.t_bracket = t_bracket
+
+def _quad(p: float, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Integral of (1 + e^-s)^p over each [left, right] (length <= 0.25)."""
+    x, w = _gauss_legendre()
+    width = right - left
+    return width * ((1.0 + np.exp(-(left[:, None] + width[:, None] * x))) ** p @ w)
 
 
-def _solve(fun, t0: float, y0: float, t_eval: np.ndarray) -> np.ndarray:
-    from scipy.integrate import solve_ivp
+@dataclass(frozen=True)
+class _TimeMap:
+    """cum[k] is the integral from sigma0 to knots[k], on pieces of length 0.25
+    from max(sigma0, -36) to max(sigma0, 36); cum[0] is the closed-form tail."""
 
-    t_end = float(t_eval[-1])
-    if t_end == t0:
-        return np.full(len(t_eval), y0)
-    sol = solve_ivp(
-        fun,
-        (t0, t_end),
-        [y0],
-        method="RK45",
-        rtol=_RTOL,
-        atol=_ATOL,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise BarrierIntegrationError(
-            f"barrier ODE integration failed: {sol.message}",
-            t_bracket=(sol.t[-1] if len(sol.t) else t0, t_end),
-        )
-    return sol.y[0]
+    p: float
+    sigma0: float
+    knots: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def of(cls, ubar: float, beta: float, m: float) -> _TimeMap:
+        p = m - 1.0 if beta < ubar else -m
+        # sigma0 = -inf at beta = 0 or inf; the tail overflows to inf for the zero solution
+        with np.errstate(divide="ignore", over="ignore"):
+            sigma0 = float(np.log(np.divide(min(beta, ubar), abs(beta - ubar))))
+            lo, hi = max(sigma0, -_TAIL), max(sigma0, _TAIL)
+            tail = lo - sigma0 if p == 0 else np.exp(-p * lo) * np.expm1(p * (lo - sigma0)) / p
+        knots = np.linspace(lo, hi, math.ceil((hi - lo) / _PIECE) + 1)
+        cum = tail + np.concatenate([[0.0], np.cumsum(_quad(p, knots[:-1], knots[1:]))])
+        return cls(p, sigma0, knots, cum)
+
+    def time(self, sigma: float) -> float:
+        """The integral from sigma0 to a sigma inside the knots, summed pairwise."""
+        k = int(np.searchsorted(self.knots, sigma, side="right"))
+        ends = np.append(self.knots[1:k], sigma)
+        return float(self.cum[0] + np.sum(_quad(self.p, self.knots[:k], ends)))
+
+    def sigma(self, tau: np.ndarray) -> np.ndarray:
+        """Invert the time map at integral values tau >= 0."""
+        p, sigma0, knots, cum = self.p, self.sigma0, self.knots, self.cum
+        out = knots[-1] + (tau - cum[-1])
+        tail = tau < cum[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            if p == 0:
+                out[tail] = sigma0 + tau[tail]
+            elif p < 0:
+                out[tail] = -np.logaddexp(-p * sigma0, np.log(-p * tau[tail])) / p
+            else:
+                out[tail] = sigma0 - np.log1p(-p * tau[tail] * np.exp(p * sigma0)) / p
+        # Newton inside each value's piece, from the linear interpolant
+        inner = ~tail & (tau < cum[-1])
+        target = tau[inner]
+        k = np.searchsorted(cum, target, side="right") - 1
+        left, c = knots[k], cum[k]
+        s = left + (knots[k + 1] - left) * (target - c) / (cum[k + 1] - c)
+        for _ in range(8):
+            step = (c + _quad(p, left, s) - target) / (1.0 + np.exp(-s)) ** p
+            s -= step
+            if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(s))):
+                break
+        out[inner] = s
+        return out
 
 
 def phi_curve(params: BarrierParams, ts) -> np.ndarray:
@@ -92,35 +130,18 @@ def phi_curve(params: BarrierParams, ts) -> np.ndarray:
         raise ValueError("times must be sorted")
     if len(ts) == 0:
         return np.array([])
-
-    if math.isinf(beta):
-        if ts[0] <= 0:
-            raise ValueError("beta = +inf requires t > 0")
-        # start from the regularizing majorant just before the first
-        # requested time; the flow contracts the seeding excess forward
-        t0 = ts[0] * 1e-3
-        y0 = ubar + (t0 * m) ** (-1.0 / m)
-        fun = lambda t, y: y[0] ** m * (ubar - y[0])
-        return _solve(fun, t0, y0, ts)
-
+    if math.isinf(beta) and ts[0] <= 0:
+        raise ValueError("beta = +inf requires t > 0")
     if ts[0] < 0:
         raise ValueError("t must be >= 0")
     if beta == ubar:
         return np.full(len(ts), ubar)
-
-    if m < 1 and beta < ubar:
-        # positive increasing branch via psi = Phi^(1-m); regular at psi = 0
-        q = 1.0 / (1.0 - m)
-        fun = lambda t, y: (1.0 - m) * (ubar - max(y[0], 0.0) ** q)
-        psi = _solve(fun, 0.0, beta ** (1.0 - m), ts)
-        return np.maximum(psi, 0.0) ** q
-
-    if beta == 0.0:
-        # m >= 1: the zero solution is the unique one
-        return np.zeros(len(ts))
-
-    fun = lambda t, y: max(y[0], 0.0) ** m * (ubar - y[0])
-    return _solve(fun, 0.0, beta, ts)
+    tmap = _TimeMap.of(ubar, beta, m)
+    # ubar (1 + e^-sigma)^q with q = sign(beta - ubar), free of overflow at sigma << 0
+    out = ubar * np.exp(np.sign(beta - ubar) * np.logaddexp(0.0, -tmap.sigma(ubar**m * ts)))
+    # exact at t = 0 and between beta and ubar, past the ulps lost through sigma0
+    out[ts == 0] = beta
+    return np.clip(out, min(beta, ubar), max(beta, ubar))
 
 
 def phi(params: BarrierParams, t: float) -> float:
@@ -131,9 +152,9 @@ def phi(params: BarrierParams, t: float) -> float:
 def tau_half(params: BarrierParams) -> float:
     """First time the increasing branch reaches ubar / 2 (m < 1, beta < ubar).
 
-    Found by bisection on the monotone numerical solution.  A rigorous a
-    priori bound for the crossing is 2^m / ((1 - m) ubar^m), obtained by
-    integrating Phi' >= Phi^m ubar / 2 below the half level.
+    The half level is sigma = 0, so this is the time map evaluated there.  A
+    rigorous a priori bound for the crossing is 2^m / ((1 - m) ubar^m),
+    obtained by integrating Phi' >= Phi^m ubar / 2 below the half level.
     """
     ubar, beta, m = params.ubar, params.beta, params.m
     if m >= 1:
@@ -142,30 +163,7 @@ def tau_half(params: BarrierParams) -> float:
         raise ValueError(f"tau_half requires 0 <= beta < ubar, got beta = {beta}")
     if beta >= 0.5 * ubar:
         return 0.0
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import brentq
-
-    t_max = 2.0 * 2.0**m / ((1.0 - m) * ubar**m) + 1.0
-    q = 1.0 / (1.0 - m)
-    target = (0.5 * ubar) ** (1.0 - m)
-    fun = lambda t, y: (1.0 - m) * (ubar - max(y[0], 0.0) ** q)
-    sol = solve_ivp(
-        fun,
-        (0.0, t_max),
-        [beta ** (1.0 - m)],
-        method="RK45",
-        rtol=_RTOL,
-        atol=_ATOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise BarrierIntegrationError("tau_half integration failed", (0.0, t_max))
-    end_val = sol.sol(t_max)[0]
-    if end_val < target:
-        raise BarrierIntegrationError(
-            "half level not reached inside the a priori window", (0.0, t_max)
-        )
-    return float(brentq(lambda t: sol.sol(t)[0] - target, 0.0, t_max, xtol=1e-10))
+    return _TimeMap.of(ubar, beta, m).time(0.0) / ubar**m
 
 
 def phi_envelopes(params: BarrierParams, t) -> tuple[np.ndarray, np.ndarray]:
@@ -190,12 +188,14 @@ def phi_envelopes(params: BarrierParams, t) -> tuple[np.ndarray, np.ndarray]:
         expo = gap * np.exp(-(ubar**m) * t)
         return np.full_like(t, ubar), ubar + np.minimum(alg, expo)
     if m >= 1:
-        lower = ubar - (ubar - beta) * np.exp(-(beta**m) * t)
+        lower = beta - (ubar - beta) * np.expm1(-(beta**m) * t)
         return lower, np.full_like(t, ubar)
     # beta < ubar, m < 1: tau_half branching
     tau = tau_half(params)
-    power = (beta ** (1.0 - m) + (1.0 - m) * 0.5 * ubar * t) ** (1.0 / (1.0 - m))
-    expo = ubar - 0.5 * ubar * np.exp(-((0.5 * ubar) ** m) * (t - tau))
+    with np.errstate(divide="ignore"):  # log form of the power law, accurate as m -> 1
+        log_base = np.logaddexp((1.0 - m) * np.log(beta), np.log((1.0 - m) * 0.5 * ubar * t))
+    power = np.exp(log_base / (1.0 - m))
+    expo = ubar - 0.5 * ubar * np.exp(-((0.5 * ubar) ** m) * np.maximum(t - tau, 0.0))
     lower = np.where(t <= tau, np.minimum(power, 0.5 * ubar), expo)
     return lower, np.full_like(t, ubar)
 

@@ -4,14 +4,20 @@ The scenarios the `verify` suites also check come from the builders in
 coulombflow.suites; only the test-only runs are configured here.
 """
 
+import contextlib
+import io
+import os
+
 import numpy as np
 import pytest
 
 from coulombflow import suites
+from coulombflow.cli import main
 from coulombflow.pde_solver import SolverConfig, run
 from coulombflow.torus_field import ScalarField, make_grid
 
 ACCEPTANCE_MS = (0.5, 1.0, 2.0, 4.0)
+VERIFY_SMALL = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "verify_small.json")
 
 
 def cosine_field(n, base=1.0, amp=0.5):
@@ -72,3 +78,13 @@ def waiting_time_runs():
 def weak_strong_pairs():
     """The m = 1 weak-strong base run and its perturbed runs, n = 128 and 256."""
     return {n: suites.weak_strong_runs(n) for n in (128, 256)}
+
+
+@pytest.fixture(scope="session")
+def verify_small_run(tmp_path_factory):
+    """`verify` on configs/verify_small.json in process: (exit code, out dir, stderr)."""
+    out = tmp_path_factory.mktemp("verify_small") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--config", VERIFY_SMALL, "--out", str(out)])
+    return code, out, err.getvalue()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombflow.barrier_ode import (
     BarrierParams,
@@ -25,6 +27,23 @@ ENVELOPE_CASES = [
 
 def logistic(ubar, beta, t):
     return ubar * beta / (beta + (ubar - beta) * np.exp(-ubar * t))
+
+
+def inverse_by_bisection(time_of, t, lo, hi):
+    """The root of the decreasing map time_of(phi) = t in [lo, hi], to the last bit."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if time_of(mid) > t else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def barrier_params(draw):
+    """ubar in [0.2, 3], m log-uniform on [0.2, 5], beta in [0, 4 ubar] or inf."""
+    ubar = draw(st.floats(0.2, 3.0))
+    m = math.exp(draw(st.floats(math.log(0.2), math.log(5.0))))
+    beta = draw(st.one_of(st.floats(0.0, 4.0 * ubar), st.just(math.inf)))
+    return BarrierParams(ubar, beta, m)
 
 
 class TestPhi:
@@ -81,6 +100,30 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(p, 0.0)
 
+    def test_beta_infinity_exact(self):
+        # m = 1: ubar / (1 - e^-ubar t); m = 2, ubar = 1: t(Phi) = -log(1 - 1/Phi) - 1/Phi
+        ts = np.array([0.01, 0.1, 1.0])
+        vals = phi_curve(BarrierParams(1.0, math.inf, 1.0), ts)
+        np.testing.assert_allclose(vals, 1.0 / -np.expm1(-ts), rtol=1e-12, atol=0)
+        vals = phi_curve(BarrierParams(1.0, math.inf, 2.0), ts)
+        time_of = lambda v: -math.log1p(-1.0 / v) - 1.0 / v
+        exact = [inverse_by_bisection(time_of, t, 1.0, 1.0 + (2 * t) ** -0.5) for t in ts]
+        np.testing.assert_allclose(vals, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [1e-300, 1e-12, 1e12])
+    def test_extreme_beta(self, beta, m):
+        ubar = 1.0
+        ts = np.array([0.0, 0.01, 0.1, 1.0, 10.0, 100.0])
+        vals = phi_curve(BarrierParams(ubar, beta, m), ts)
+        assert vals[0] == beta
+        assert np.all(np.isfinite(vals))
+        side = np.sign(beta - ubar)
+        assert np.all(side * np.diff(vals) <= 0)
+        assert np.all(side * (vals - ubar) >= 0)
+        if m == 1.0:
+            np.testing.assert_allclose(vals, logistic(ubar, beta, ts), rtol=1e-12, atol=0)
+
     def test_m_ge_1_beta_zero_stays_zero(self):
         assert phi(BarrierParams(1.0, 0.0, 2.0), 3.0) == 0.0
 
@@ -91,6 +134,29 @@ class TestPhi:
             BarrierParams(1.0, -0.5, 1.0)
         with pytest.raises(ValueError):
             BarrierParams(1.0, 1.0, 0.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(params=barrier_params(), t1=st.floats(0.001, 5.0), t2=st.floats(0.0, 5.0))
+def test_barrier_ode_properties(params, t1, t2):
+    """Semigroup identity, monotonicity on beta's side and envelope containment.
+
+    Relative tolerances stop at the smallest normal float: a subnormal beta
+    carries fewer than 52 bits, so no float evaluation is relatively exact there.
+    """
+    ubar, beta, m = params.ubar, params.beta, params.m
+    tiny = np.finfo(float).tiny
+    direct = phi(params, t1 + t2)
+    restart = phi(BarrierParams(ubar, phi(params, t1), m), t2)
+    assert restart == pytest.approx(direct, rel=1e-11, abs=tiny)
+    ts = np.linspace(0.0, t1 + t2, 41)[1 if math.isinf(beta) else 0 :]
+    vals = phi_curve(params, ts)
+    side = 1.0 if beta >= ubar else -1.0
+    assert np.all(side * np.diff(vals) <= 0)
+    assert np.all(side * (vals - ubar) >= 0)
+    lo, hi = phi_envelopes(params, ts)
+    assert np.all(vals >= lo * (1 - 1e-12) - tiny)
+    assert np.all(vals <= hi * (1 + 1e-12) + tiny)
 
 
 class TestEnvelopes:

@@ -444,15 +444,14 @@ class TestVerifyCommand:
         assert not out.exists()
         assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
 
-    def test_theorem_suite_small_all_pass(self, tmp_path, capsys):
-        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "verify_small.json")
-        out = tmp_path / "out"
-        assert main(["verify", "--config", config, "--out", str(out)]) == 0
+    def test_theorem_suite_small_all_pass(self, verify_small_run):
+        code, out, err = verify_small_run
+        assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["checks"]) == 60
         assert all(c["status"] == "pass" for c in report["checks"])
         assert report["warnings"] == []
-        assert "warning" not in capsys.readouterr().err
+        assert "warning" not in err
 
     def test_unknown_suite_exit_2(self, tmp_path):
         doc = {"verify": {"suite": "no-such-suite"}, "outputs": {}}

@@ -1,8 +1,8 @@
-"""scipy is loaded only where a barrier ODE is solved.
+"""The package runs on numpy alone: no command loads scipy.
 
 Each case runs in a fresh interpreter and reads `sys.modules` afterwards:
-importing the package and the CLI, `simulate`, `fronts` and `plot` must run
-on numpy alone, while `verify` loads scipy at its first barrier solve.
+importing the package and the CLI, `simulate`, `fronts`, `plot` and `verify`
+(whose barrier curves come from a numpy quadrature) leave no scipy module.
 """
 
 import json
@@ -10,8 +10,9 @@ import os
 import subprocess
 import sys
 
-from coulombflow.cli import main
 from coulombflow.csvio import write_csv
+
+from conftest import VERIFY_SMALL
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
@@ -79,13 +80,13 @@ def test_plot_loads_no_scipy(tmp_path):
     assert (tmp_path / "a.svg").exists()
 
 
-def test_verify_loads_scipy_and_reports_as_in_process(tmp_path):
-    config = os.path.join(CONFIG_DIR, "verify_small.json")
-    fresh, here = tmp_path / "fresh", tmp_path / "here"
-    run = fresh_run(["verify", "--config", config, "--out", str(fresh)], tmp_path)
+def test_verify_loads_no_scipy_and_reports_as_in_process(tmp_path, verify_small_run):
+    fresh = tmp_path / "fresh"
+    run = fresh_run(["verify", "--config", VERIFY_SMALL, "--out", str(fresh)], tmp_path)
     assert run["code"] == 0
-    assert "scipy.integrate" in run["scipy"]
-    assert main(["verify", "--config", config, "--out", str(here)]) == 0
+    assert run["scipy"] == []
+    code, here, _ = verify_small_run
+    assert code == 0
     docs = [json.loads((d / "report.json").read_text()) for d in (fresh, here)]
     for doc in docs:
         doc.pop("generated_at")
