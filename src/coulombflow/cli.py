@@ -6,9 +6,11 @@ plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
 verification failure, 2 usage or configuration error or a failed output
 write.  `verify --jobs N` runs suite tasks on N >= 1 threads (default 1);
 reports are identical for any N.
-simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files in up to one
-process per usable core (forked children write every share but the first);
-the files are byte-identical for any core count, and no flag sets it.
+simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files while the
+solver steps: each snapshot goes to a forked child as it lands, with up to
+one child per usable core but the solver's, and the snapshots still queued
+when the run ends are shared by the main process and the free cores.  The
+files are byte-identical for any core count, and no flag sets it.
 """
 
 from __future__ import annotations
@@ -68,42 +70,74 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _in_shares(snapshots, write) -> None:
-    """Call write(snapshots[i::workers]) for each share i, one process per usable core.
+def _write_while_stepping(u0, solver, write):
+    """Return run(u0, solver), writing its snapshots with write(share) meanwhile.
 
-    The parent writes share 0 and forks a child for every other share, so no
-    more processes are busy than there are cores; the children share the
-    snapshots copy-on-write and leave by os._exit, never unwinding into the
-    caller.  Every child is reaped, also when the parent's own share fails,
-    and a child that exits nonzero raises OSError naming its time tags.
+    The solver's snapshot hook queues each snapshot as it lands, reaps
+    finished writers without blocking, and forks a child for the oldest
+    queued snapshot while fewer than usable cores - 1 children are alive: the
+    solver holds one core.  The snapshots still queued when the run ends are
+    dealt out round-robin to the main process and the free slots, one
+    process per core.  Where os.fork is missing, or with one core, the main
+    process writes them all after the run.  The children share the snapshots
+    copy-on-write and leave by os._exit, never unwinding into the caller.
+    Every child is reaped, also when the run or a write fails, and a child
+    that exits nonzero raises OSError naming its time tags, at the latest
+    when the run ends.
     """
-    workers = min(_usable_cores(), len(snapshots))
-    children = {}
+    slots = _usable_cores() - 1
+    queue, children = [], {}
+
+    def spawn(share):
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on a fork while BLAS pool threads exist;
+            # the child only formats and writes files and leaves by os._exit.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded")
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                write(share)
+                code = 0
+            except BaseException:
+                # os._exit below drops the exception: print it here
+                sys.excepthook(*sys.exc_info())
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        children[pid] = share
+
+    def reap(flags):
+        failed = []
+        for pid in list(children):
+            done, status = os.waitpid(pid, flags)
+            if done:
+                share = children.pop(pid)
+                if status != 0:
+                    failed += share
+        if failed:
+            tags = ", ".join(_t_tag(t) for t, _ in failed)
+            raise OSError(f"writing the snapshot files at t = {tags} failed in a child process")
+
+    def hand_over(member, t, field):
+        queue.append((t, field))
+        reap(os.WNOHANG)
+        while queue and len(children) < slots:
+            spawn([queue.pop(0)])
+
     try:
+        traj = run(u0, solver, on_snapshot=hand_over)
+        reap(os.WNOHANG)
+        workers = min(1 + slots - len(children), len(queue))
         for i in range(1, workers):
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on a fork while BLAS pool threads exist;
-                # the child only formats and writes files and leaves by os._exit.
-                warnings.filterwarnings("ignore", "This process .* is multi-threaded")
-                pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    write(snapshots[i::workers])
-                    code = 0
-                except BaseException:
-                    # os._exit below drops the exception: print it here
-                    sys.excepthook(*sys.exc_info())
-                    sys.stderr.flush()
-                finally:
-                    os._exit(code)
-            children[pid] = snapshots[i::workers]
-        write(snapshots[::workers])
+            spawn(queue[i::workers])
+        if queue:
+            write(queue[::workers])
+        reap(0)
     finally:
-        failed = [share for pid, share in children.items() if os.waitpid(pid, 0)[1] != 0]
-    if failed:
-        tags = ", ".join(_t_tag(t) for share in failed for t, _ in share)
-        raise OSError(f"writing the snapshot files at t = {tags} failed in a child process")
+        for pid in children:
+            os.waitpid(pid, 0)
+    return traj
 
 
 def cmd_simulate(args) -> int:
@@ -123,7 +157,22 @@ def cmd_simulate(args) -> int:
     formats = cfg.outputs.get("formats", ["csv"])
 
     grid = cfg.grid
-    traj = run(cfg.u0, cfg.solver)
+    # The grid columns are the same in every snapshot file: format them once.
+    axis = format_cells(grid.axis_coordinates())
+    if grid.dim == 1:
+        u_header, u_grid = ["x", "value"], [axis]
+    else:
+        # C order of an "ij" meshgrid: x1 holds each coordinate n times in
+        # a row, x2 the whole axis n times; both share the n axis strings.
+        x1 = [x for x in axis for _ in range(grid.n)]
+        u_header, u_grid = ["x1", "x2", "value"], [x1, axis * grid.n]
+    # the rearranged cells depend on the grid alone, so u0 gives every file's s
+    s_cells = format_cells(rearrange(cfg.u0).s_midpoints)
+    traj = _write_while_stepping(
+        cfg.u0,
+        cfg.solver,
+        lambda share: _write_snapshots(out_dir, share, u_header, u_grid, s_cells),
+    )
 
     obs = traj.observables
     write_csv(
@@ -143,20 +192,6 @@ def cmd_simulate(args) -> int:
         ],
     )
     theta = support_threshold(traj.snapshots[0][1])
-    # The grid columns are the same in every snapshot file: format them once.
-    axis = format_cells(grid.axis_coordinates())
-    if grid.dim == 1:
-        u_header, u_grid = ["x", "value"], [axis]
-    else:
-        # C order of an "ij" meshgrid: x1 holds each coordinate n times in
-        # a row, x2 the whole axis n times; both share the n axis strings.
-        x1 = [x for x in axis for _ in range(grid.n)]
-        u_header, u_grid = ["x1", "x2", "value"], [x1, axis * grid.n]
-    s_cells = format_cells(rearrange(traj.snapshots[0][1]).s_midpoints)
-    _in_shares(
-        traj.snapshots,
-        lambda share: _write_snapshots(out_dir, share, u_header, u_grid, s_cells),
-    )
     support = np.array([support_measure(f, theta) for _, f in traj.snapshots])
     write_csv(os.path.join(out_dir, "support.csv"), ["t", "S"], [traj.times, support])
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:

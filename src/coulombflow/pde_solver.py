@@ -396,12 +396,23 @@ def _grad_sup(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.max(axis=grid.axes))
 
 
-def run(u0: ScalarField, cfg: SolverConfig) -> Trajectory:
-    """Integrate u0 to cfg.t_end: the one-member case of `run_batch`."""
-    return run_batch([(u0, cfg)])[0]
+SnapshotHook = Callable[[int, float, ScalarField], None]
 
 
-def run_batch(members: Sequence[tuple[ScalarField, SolverConfig]]) -> list[Trajectory]:
+def run(
+    u0: ScalarField, cfg: SolverConfig, on_snapshot: Optional[SnapshotHook] = None
+) -> Trajectory:
+    """Integrate u0 to cfg.t_end: the one-member case of `run_batch`.
+
+    `on_snapshot` is called as in `run_batch`, always with member 0.
+    """
+    return run_batch([(u0, cfg)], on_snapshot)[0]
+
+
+def run_batch(
+    members: Sequence[tuple[ScalarField, SolverConfig]],
+    on_snapshot: Optional[SnapshotHook] = None,
+) -> list[Trajectory]:
     """Integrate each (u0, cfg) member to its t_end; one trajectory per member.
 
     The members share a grid and step together in one forward-Euler kernel
@@ -416,6 +427,12 @@ def run_batch(members: Sequence[tuple[ScalarField, SolverConfig]]) -> list[Traje
     next output).  Observables are recorded every `record_every` steps and at
     the final time; the dissipation integral accumulates every step with the
     same left-endpoint rule as the Euler update.
+
+    `on_snapshot(i, t, field)`, if given, is called with each snapshot of
+    member i as it is appended to that member's trajectory, t = 0 included:
+    the (t, field) pair is the one the trajectory holds, in landing order.
+    The field is never written to afterwards, so the hook may keep it.  An
+    exception from the hook ends the run and propagates.
 
     Raises ValueError for an empty batch or members on different grids.  In a
     batch of more than one, a SolverError names the failing member's index.
@@ -450,6 +467,9 @@ def run_batch(members: Sequence[tuple[ScalarField, SolverConfig]]) -> list[Traje
     out_idx = [0] * len(members)
     cum_diss = [0.0] * len(members)
     snapshots = [[(0.0, ScalarField(grid, v.copy()))] for v in start]
+    if on_snapshot is not None:
+        for i, member_snapshots in enumerate(snapshots):
+            on_snapshot(i, *member_snapshots[0])
     # Iterates stay nonnegative (u0 is checked and every update clamped at
     # zero), so the L^1 norm is the mass and the L^inf norm is the max.  Each
     # member's rows go flat into one array of doubles, in Observables order.
@@ -533,7 +553,10 @@ def run_batch(members: Sequence[tuple[ScalarField, SolverConfig]]) -> list[Traje
             t[i] += dt
             if abs(t[i] - outputs[i][out_idx[i]]) < 1e-12:
                 t[i] = outputs[i][out_idx[i]]
-                snapshots[i].append((t[i], ScalarField(grid, v.copy())))
+                field = ScalarField(grid, v.copy())
+                snapshots[i].append((t[i], field))
+                if on_snapshot is not None:
+                    on_snapshot(i, t[i], field)
                 out_idx[i] = min(out_idx[i] + 1, len(outputs[i]) - 1)
 
     # Popping frees each member's flat rows once they are copied out.

@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+import time
 from xml.etree import ElementTree
 
 import numpy as np
@@ -144,6 +145,69 @@ MALFORMED = [
         "fronts", "C", id="fronts.key-of-another-mode",
     ),
 ]
+
+
+def watch_writers(monkeypatch):
+    """Count simulate's writer children through os.fork and os.waitpid.
+
+    live: children forked and not yet reaped; peak: the most live at once;
+    forks: children forked; during_run: those forked while cli.run steps.
+    """
+    real_fork, real_waitpid, real_run = os.fork, os.waitpid, cli.run
+    state = {"live": 0, "peak": 0, "forks": 0, "during_run": 0, "running": False}
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            state["forks"] += 1
+            state["during_run"] += state["running"]
+            state["live"] += 1
+            state["peak"] = max(state["peak"], state["live"])
+        return pid
+
+    def waitpid(pid, flags):
+        done, status = real_waitpid(pid, flags)
+        state["live"] -= done != 0
+        return done, status
+
+    def counted_run(*args, **kwargs):
+        state["running"] = True
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            state["running"] = False
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(cli, "run", counted_run)
+    return state
+
+
+def flag_run_end(monkeypatch, flag):
+    """Create the file `flag` when cli.run returns or raises; return its path."""
+    real_run = cli.run
+
+    def flagged_run(*args, **kwargs):
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            flag.touch()
+
+    monkeypatch.setattr(cli, "run", flagged_run)
+    return flag
+
+
+def wait_for(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise OSError(f"{path} did not appear")
+        time.sleep(0.002)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfigValidation:
@@ -303,21 +367,20 @@ class TestSimulate:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_output_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, dim):
         cfg = write_config(tmp_path / "c.json", sim_doc("grid", dim=dim, n=16))
-        real_fork, forks = os.fork, []
-
-        def counting_fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        writers = watch_writers(monkeypatch)
         outs = []
-        for cores in (1, 3):
+        for cores in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
+            writers.update(live=0, peak=0, forks=0, during_run=0)
             outs.append(tmp_path / f"cores{cores}")
             assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
-            assert len(forks) == cores - 1  # the parent writes one share itself
-            forks.clear()
-        monkeypatch.delattr(os, "fork")  # no fork: one worker, in-process
+            # the solver holds one core: at most cores - 1 writers at any time
+            assert writers["peak"] <= cores - 1
+            # the t = 0 snapshot goes to a child as soon as a core is free
+            assert (writers["during_run"] >= 1) == (cores > 1)
+            assert writers["live"] == 0
+            assert_no_child_left()
+        monkeypatch.delattr(os, "fork")  # no fork: the main process writes all
         outs.append(tmp_path / "nofork")
         assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
         names = sorted(os.listdir(outs[0]))
@@ -327,16 +390,23 @@ class TestSimulate:
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
-    # three workers: share i holds snapshots i and i + 3, at t = 0, 0.1, ..., 0.5
-    @pytest.mark.parametrize("bad", ["0.400000", "0.300000"], ids=["child-share", "parent-share"])
+    # child-share: the t = 0 snapshot, handed to a child when it lands;
+    # parent-share: the children wait for the run to end, so the main
+    # process writes the snapshots from t = 0.2 on after it
+    @pytest.mark.parametrize("bad", ["0.000000", "0.300000"], ids=["child-share", "parent-share"])
     def test_failed_share_named_and_no_child_left(self, tmp_path, monkeypatch, capsys, bad):
         cfg = write_config(tmp_path / "c.json", SIM_DOC)
         out = tmp_path / "out"
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        real_write = cli.write_csv
+        writers = watch_writers(monkeypatch)
+        ended = flag_run_end(monkeypatch, tmp_path / "run-ended")
+        main_pid, real_write = os.getpid(), cli.write_csv
 
         def failing_write(path, header, columns):
-            if bad in os.path.basename(path):
+            in_child = os.getpid() != main_pid
+            if in_child and bad != "0.000000":
+                wait_for(ended)
+            if bad in os.path.basename(path) and in_child == (bad == "0.000000"):
                 raise OSError(f"cannot write {path}")
             real_write(path, header, columns)
 
@@ -344,11 +414,37 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and bad in errors[0]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        # share 2 holds no failing tag: the child that wrote it finished
-        for tag in ("0.200000", "0.500000"):
-            assert (out / f"k_{tag}.csv").exists()
+        assert ("child process" in errors[0]) == (bad == "0.000000")
+        assert writers["during_run"] >= 1
+        assert_no_child_left()
+        if bad == "0.300000":
+            # the children's snapshots and the main process's first one
+            for tag in ("0.000000", "0.100000", "0.200000"):
+                assert (out / f"k_{tag}.csv").exists()
+        assert not (out / "observables.csv").exists()
+
+    def test_solver_failure_with_a_writer_alive(self, tmp_path, monkeypatch, capsys):
+        # m = 300 underflows the first step, after the t = 0 snapshot was handed out
+        cfg = write_config(tmp_path / "c.json", sim_doc("solver", m=300.0))
+        out = tmp_path / "out"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        writers = watch_writers(monkeypatch)
+        ended = flag_run_end(monkeypatch, tmp_path / "run-ended")
+        main_pid, real_write = os.getpid(), cli.write_csv
+
+        def waiting_write(path, header, columns):
+            if os.getpid() != main_pid:
+                wait_for(ended)  # alive until the solver has failed
+            real_write(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", waiting_write)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "time step underflow" in errors[0]
+        assert writers["during_run"] == 1
+        assert_no_child_left()
+        # the snapshot handed out before the failure is written; nothing else
+        assert sorted(os.listdir(out)) == ["k_0.000000.csv", "u_0.000000.csv"]
 
     def test_wrong_file_length_rejected(self, tmp_path):
         src = tmp_path / "ic.csv"

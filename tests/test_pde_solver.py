@@ -411,6 +411,14 @@ def _assert_identical(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _assert_same_trajectory(got, want):
+    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+    for (_, g_field), (_, w_field) in zip(got.snapshots, want.snapshots):
+        _assert_identical(g_field.values, w_field.values)
+    for field in dataclasses.fields(want.observables):
+        _assert_identical(getattr(got.observables, field.name), getattr(want.observables, field.name))
+
+
 def _batch_members_1d():
     g = make_grid(1, 64)
     x = g.axis_coordinates()
@@ -454,13 +462,7 @@ def test_run_batch_matches_run(members):
     for (u0, cfg), got in zip(members, batch):
         want = run(u0, cfg)
         assert (got.m, got.epsilon) == (want.m, want.epsilon)
-        assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
-        for (_, g_field), (_, w_field) in zip(got.snapshots, want.snapshots):
-            _assert_identical(g_field.values, w_field.values)
-        for field in dataclasses.fields(want.observables):
-            _assert_identical(
-                getattr(got.observables, field.name), getattr(want.observables, field.name)
-            )
+        _assert_same_trajectory(got, want)
     # the members really differ in step count, recording and finishing time
     assert len({len(traj.observables.t) for traj in batch}) == len(batch)
 
@@ -482,6 +484,42 @@ def test_run_batch_error_names_the_member():
     steep = SolverConfig(m=300.0, t_end=0.01)
     with pytest.raises(SolverError, match="^member 2: time step underflow"):
         run_batch([(cosine(64), cfg), (cosine(64), cfg), (cosine(64), steep)])
+
+
+@pytest.mark.parametrize("members", [_batch_members_1d(), _batch_members_2d()], ids=["d1", "d2"])
+def test_snapshot_hook_sees_each_snapshot_as_it_lands(members, monkeypatch):
+    # one drift per loop pass: the count is the number of steps taken so far
+    drifts, real_drift = [], pde_solver.coulomb_drift
+    monkeypatch.setattr(
+        pde_solver, "coulomb_drift", lambda *a: drifts.append(1) or real_drift(*a)
+    )
+    calls = []
+    batch = run_batch(members, on_snapshot=lambda i, t, f: calls.append((i, t, f, len(drifts))))
+    # the t = 0 snapshots come first, before any step, in member order
+    assert [(i, t, steps) for i, t, _, steps in calls[: len(members)]] == [
+        (i, 0.0, 0) for i in range(len(members))
+    ]
+    for i, traj in enumerate(batch):
+        seen = [(t, f, steps) for j, t, f, steps in calls if j == i]
+        assert len(seen) == len(traj.snapshots)
+        for (t, f, _), (want_t, want_f) in zip(seen, traj.snapshots):
+            assert t == want_t and f is want_f
+        if members[i][1].record_every == 1:
+            # observables row k holds the time after k steps: each snapshot
+            # is handed over in the step that lands on it
+            landing = [int(np.flatnonzero(traj.observables.t == t)[0]) for t, _, _ in seen]
+            assert [steps for *_, steps in seen] == landing
+    u0, cfg = members[0]
+    members_seen = []
+    run(u0, cfg, on_snapshot=lambda i, t, f: members_seen.append(i))
+    assert members_seen == [0] * len(batch[0].snapshots)
+
+
+@pytest.mark.parametrize("members", [_batch_members_1d(), _batch_members_2d()], ids=["d1", "d2"])
+def test_snapshot_hook_leaves_the_run_unchanged(members):
+    hooked = run_batch(members, on_snapshot=lambda i, t, f: None)
+    for got, want in zip(hooked, run_batch(members)):
+        _assert_same_trajectory(got, want)
 
 
 class TestMollify:
