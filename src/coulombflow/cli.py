@@ -200,7 +200,7 @@ def cmd_simulate(args) -> int:
                 "config": cfg.raw,
                 "epsilon_resolved": traj.epsilon,
                 "theta_support": theta,
-                "mollify_width": cfg.solver.mollify_width,
+                "mollify_width": cfg.mollify_width,
             },
             fh,
             indent=2,

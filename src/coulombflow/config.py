@@ -3,13 +3,14 @@
 One JSON document per experiment.  Unknown sections and keys are rejected
 with the offending key named.  Every other rule is checked once, by the code
 that uses the section, all at load time: `make_grid` checks the grid,
-`build_initial_condition` the initial data, `SolverConfig` when it is built
-the solver, and the state class that `fronts.mode` names the front system.
-Their errors become a `ConfigError` that names the section, and for the grid,
-the solver, `initial_condition.mollify`, `verify.n` and a missing `fronts`
-key the key.  This module checks only what no owner does: `fronts.t_end`
-positive and finite, no `fronts` key that the chosen mode does not use, and
-`outputs.formats`.
+`build_initial_condition` the initial data and the keys its kind uses,
+`SolverConfig` when it is built the solver, and the state class that
+`fronts.mode` names the front system.  Their errors become a `ConfigError`
+that names the section, and for the grid, the solver, `verify.n`, a missing
+or unused `initial_condition` key and a missing `fronts` key the key.  This
+module checks only what no owner does: `initial_condition.mollify`,
+`fronts.t_end` positive and finite, no `fronts` key that the chosen mode
+does not use, and `outputs.formats`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from coulombflow.hj_fronts import FRONT_SYSTEMS
-from coulombflow.initial_conditions import build_initial_condition
+from coulombflow.initial_conditions import KINDS, build_initial_condition
 from coulombflow.pde_solver import SolverConfig
-from coulombflow.torus_field import ScalarField, TorusGrid, make_grid
+from coulombflow.torus_field import ScalarField, TorusGrid, make_grid, mollify
 
 __all__ = ["ConfigError", "ExperimentConfig", "FrontRun", "load_config"]
 
@@ -36,11 +37,10 @@ class ConfigError(ValueError):
 
 _KEYS = {
     "grid": {"dim", "n"},
-    "solver": {"m", "epsilon", "cfl", "t_end", "output_times", "floor_m_lt_1", "record_every"},
-    "initial_condition": {
-        "kind", "value", "base", "amplitudes", "blocks", "c", "s0", "exponent",
-        "center", "path", "mollify",
-    },
+    "solver": {f.name for f in dataclasses.fields(SolverConfig)},
+    "initial_condition": {"kind", "mollify"}.union(
+        *(required + optional for _, required, optional in KINDS.values())
+    ),
     "outputs": {"dir", "formats"},
     "verify": {"suite", "n"},
     "fronts": {"mode", "t_end"}.union(
@@ -62,7 +62,9 @@ class FrontRun(NamedTuple):
 class ExperimentConfig:
     """A loaded configuration.
 
-    grid, u0 and solver are what `simulate` runs; they are None when the
+    grid, u0 and solver are what `simulate` runs: u0 is the initial data
+    after the Gaussian of standard deviation mollify_width (0 for none), the
+    width resolved from `initial_condition.mollify`.  They are None when the
     document has no grid, solver and initial_condition sections.  fronts is
     what `fronts` runs, None without a fronts section.
     """
@@ -70,6 +72,7 @@ class ExperimentConfig:
     raw: dict
     grid: Optional[TorusGrid] = None
     u0: Optional[ScalarField] = None
+    mollify_width: Optional[float] = None
     solver: Optional[SolverConfig] = None
     fronts: Optional[FrontRun] = None
     outputs: dict = field(default_factory=dict)
@@ -100,19 +103,22 @@ def _mollify_width(ic: dict, grid: TorusGrid) -> float:
     mol = ic["mollify"]
     if mol == "off":
         return 0.0
-    return float(mol) if isinstance(mol, numbers.Real) else mol
+    if not (isinstance(mol, numbers.Real) and 0 <= mol < math.inf):
+        raise ConfigError(
+            f"initial_condition.mollify must be 'off' or a finite number >= 0, got {mol!r}"
+        )
+    return float(mol)
 
 
 def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict) -> None:
     with _owned("grid", keyed=True):
         cfg.grid = make_grid(**grid)
+    cfg.mollify_width = _mollify_width(ic, cfg.grid)
+    data = {key: value for key, value in ic.items() if key != "mollify"}
     with _owned("initial_condition"):
-        cfg.u0 = build_initial_condition(cfg.grid, ic)
+        cfg.u0 = mollify(build_initial_condition(cfg.grid, data), cfg.mollify_width)
     with _owned("solver", keyed=True):
-        solver_cfg = SolverConfig(**solver)
-    # SolverConfig owns the width rule; the key it comes from is this one
-    with _owned("initial_condition.mollify"):
-        cfg.solver = dataclasses.replace(solver_cfg, mollify_width=_mollify_width(ic, cfg.grid))
+        cfg.solver = SolverConfig(**solver)
 
 
 def _build_fronts(fronts: dict) -> FrontRun:

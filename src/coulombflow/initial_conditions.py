@@ -8,8 +8,6 @@ from coulombflow.torus_field import ScalarField, TorusGrid
 
 __all__ = ["build_initial_condition", "KINDS"]
 
-KINDS = ("constant", "cosine", "blocks", "power_edge", "from_file")
-
 
 def _constant(grid: TorusGrid, value: float) -> np.ndarray:
     if value < 0:
@@ -17,7 +15,7 @@ def _constant(grid: TorusGrid, value: float) -> np.ndarray:
     return np.full(grid.shape, float(value))
 
 
-def _cosine(grid: TorusGrid, base: float, amplitudes) -> np.ndarray:
+def _cosine(grid: TorusGrid, base: float, amplitudes=()) -> np.ndarray:
     """base + sum_k a_k cos(2 pi k x); in 2-D the mode is averaged over axes."""
     out = np.full(grid.shape, float(base))
     coords = grid.coordinates()
@@ -95,27 +93,37 @@ def _from_file(grid: TorusGrid, path: str) -> np.ndarray:
     return flat.reshape(grid.shape)
 
 
+# kind -> (builder, required keys, optional keys); the keys are the builder's arguments
+KINDS = {
+    "constant": (_constant, ("value",), ()),
+    "cosine": (_cosine, ("base",), ("amplitudes",)),
+    "blocks": (_blocks, ("blocks",), ()),
+    "power_edge": (_power_edge, ("c", "s0", "exponent"), ("center",)),
+    "from_file": (_from_file, ("path",), ()),
+}
+
+
 def build_initial_condition(grid: TorusGrid, params: dict) -> ScalarField:
-    """Construct the initial field from a validated config dictionary."""
+    """Construct the initial field from a config dictionary: `kind` and its keys.
+
+    A missing required key raises KeyError naming it; a key the kind does not
+    use, or an unknown kind, raises ValueError.
+    """
     kind = params.get("kind")
-    if kind == "constant":
-        vals = _constant(grid, params["value"])
-    elif kind == "cosine":
-        vals = _cosine(grid, params["base"], params.get("amplitudes", []))
-    elif kind == "blocks":
-        vals = _blocks(grid, params["blocks"])
-    elif kind == "power_edge":
-        vals = _power_edge(
-            grid,
-            params["c"],
-            params["s0"],
-            params["exponent"],
-            params.get("center", 0.5),
+    if not (isinstance(kind, str) and kind in KINDS):
+        raise ValueError(
+            f"unknown initial_condition.kind: {kind!r} (expected one of {tuple(KINDS)})"
         )
-    elif kind == "from_file":
-        vals = _from_file(grid, params["path"])
-    else:
-        raise ValueError(f"unknown initial_condition.kind: {kind!r} (expected one of {KINDS})")
+    builder, required, optional = KINDS[kind]
+    unused = params.keys() - {"kind", *required, *optional}
+    if unused:
+        raise ValueError(
+            f"initial_condition.{min(unused)} is not used by kind {kind!r}; "
+            f"it takes {[*required, *optional]}"
+        )
+    vals = builder(
+        grid, *(params[key] for key in required), **{k: params[k] for k in optional if k in params}
+    )
     if np.min(vals) < 0:
         raise ValueError("initial condition must be nonnegative")
     return ScalarField(grid, vals)

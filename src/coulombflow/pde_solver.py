@@ -31,11 +31,9 @@ from coulombflow.torus_field import (
     ScalarField,
     TorusGrid,
     coulomb_drift,
-    fourier_multiply,
     half_spectrum,
     mean,
     mode_energy,
-    spectral_symbols,
 )
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "step",
     "run",
     "run_batch",
-    "mollify",
     "entropy_residual",
     "dissipation_check",
     "default_bump_bank",
@@ -65,16 +62,13 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Parameters of one integration run, checked once when built.
 
-    epsilon = "auto" resolves to the cell width h when the run starts. A
-    positive floor on the initial minimum is mandatory when m < 1 (the
-    mobility is not Lipschitz at zero density). Snapshots are taken at the
-    output_times, each in (0, t_end], and at t_end. mollify_width > 0 smooths
-    the initial data with a spectral Gaussian of that standard deviation, and
-    0 leaves it as it is. The
-    advective and viscous step bounds are each scaled by cfl and the update is
-    monotone only while they sum to at most 1, so a positive viscosity
-    ("auto" included, since h > 0) needs cfl <= 0.5; with epsilon = 0, cfl may
-    go up to 1.
+    epsilon = "auto" resolves to the cell width h when the run starts.
+    Snapshots are taken at the output_times, each in (0, t_end], and at
+    t_end. The advective and viscous step bounds are each scaled by cfl and
+    the update is monotone only while they sum to at most 1, so a positive
+    viscosity ("auto" included, since h > 0) needs cfl <= 0.5; with
+    epsilon = 0, cfl may go up to 1.  The rule that m < 1 needs a positive
+    initial minimum is one of the data, which run_batch checks.
     """
 
     m: float
@@ -82,16 +76,11 @@ class SolverConfig:
     cfl: float = 0.45
     t_end: float = 1.0
     output_times: Sequence[float] = ()
-    floor_m_lt_1: float = 0.0
-    mollify_width: float = 0.0
     record_every: int = 1
 
     def __post_init__(self):
         """Check the invariants; each error message begins with the offending field."""
-        for name, value in (
-            ("m", self.m), ("cfl", self.cfl), ("t_end", self.t_end),
-            ("floor_m_lt_1", self.floor_m_lt_1),
-        ):
+        for name, value in (("m", self.m), ("cfl", self.cfl), ("t_end", self.t_end)):
             if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.m < np.inf:
@@ -100,10 +89,6 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.m < 1 and not self.floor_m_lt_1 > 0:
-            raise ValueError(
-                f"floor_m_lt_1 must be positive when m < 1, got {self.floor_m_lt_1}"
-            )
         if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         times = self.output_times
@@ -111,10 +96,6 @@ class SolverConfig:
             isinstance(t, numbers.Real) and 0 < t <= self.t_end for t in times
         ):
             raise ValueError("output_times must be numbers in (0, t_end]")
-        if not (isinstance(self.mollify_width, numbers.Real) and 0 <= self.mollify_width < np.inf):
-            raise ValueError(
-                f"mollify_width must be a finite number >= 0, got {self.mollify_width!r}"
-            )
         auto = self.epsilon == "auto"
         if not (auto or (isinstance(self.epsilon, numbers.Real) and 0 <= self.epsilon < np.inf)):
             raise ValueError(
@@ -248,7 +229,8 @@ def _advective_speed_scale(values: np.ndarray, m: float) -> float:
     """Lipschitz constant of u -> u^m over the current values, entering the CFL.
 
     m * u_max^(m-1) for m >= 1 and m * u_min^(m-1) for m < 1, where the
-    mobility is steepest at the smallest value (positive under the floor).
+    mobility is steepest at the smallest value (run_batch rejects m < 1
+    data whose minimum is not positive).
     """
     if m < 1.0:
         umin = float(values.min())
@@ -367,14 +349,6 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     return ScalarField(grid, new)
 
 
-def mollify(u: ScalarField, width: float) -> ScalarField:
-    """Spectral Gaussian smoothing with standard deviation `width`."""
-    if width <= 0:
-        return u
-    damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(u.grid).ksq)
-    return ScalarField(u.grid, np.maximum(fourier_multiply(u, damp), 0.0))
-
-
 def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
     """Sum over cells of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces.
 
@@ -417,7 +391,7 @@ def run_batch(
 
     The members share a grid and step together in one forward-Euler kernel
     over a (B, *grid.shape) array; everything else is their own: m, eps,
-    cfl, t_end, output times, record_every, floor and mollifier.  Each step
+    cfl, t_end, output times and record_every.  Each step
     every active member takes its own dt from cfl_dt, the observables are
     reduced along the grid axes for all members at once, and a member leaves
     the batch at its t_end, so each trajectory is bit-identical to the
@@ -434,8 +408,10 @@ def run_batch(
     The field is never written to afterwards, so the hook may keep it.  An
     exception from the hook ends the run and propagates.
 
-    Raises ValueError for an empty batch or members on different grids.  In a
-    batch of more than one, a SolverError names the failing member's index.
+    The members' data are integrated as given: each must be nonnegative, and
+    positive where m < 1, since u^m is not Lipschitz at zero.  Raises
+    ValueError for an empty batch or members on different grids.  In a batch
+    of more than one, a SolverError names the failing member's index.
     """
     members = list(members)
     if not members:
@@ -455,10 +431,10 @@ def run_batch(
         lowest = float(np.min(u0.values))
         if lowest < 0.0:
             fail(i, "initial data must be nonnegative")
-        if cfg.m < 1 and lowest < cfg.floor_m_lt_1:
-            fail(i, f"m < 1 requires min(u0) >= floor ({cfg.floor_m_lt_1}), got {lowest}")
+        if cfg.m < 1 and not lowest > 0.0:
+            fail(i, f"m < 1 requires a positive initial minimum, got {lowest}")
 
-    start = [mollify(u0, cfg.mollify_width).values for u0, cfg in members]
+    start = [u0.values for u0, _ in members]
     values = np.stack(start) if len(start) > 1 else start[0].copy()
     outputs = [cfg.output_schedule() for cfg in cfgs]
     eps = [cfg.epsilon_at(grid) for cfg in cfgs]

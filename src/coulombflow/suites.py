@@ -82,15 +82,14 @@ def cosine_runs(
     """u0 = 1 + 0.5 cos(2 pi x) at d = 1, eps = h, n_out equally spaced snapshots.
 
     The decay and barrier scenario, one batch with a member per m in ms;
-    returns m -> trajectory.  m < 1 runs carry the floor 0.25.
+    returns m -> trajectory.  The data's minimum 0.5 is positive, as m < 1
+    runs need.
     """
     grid = make_grid(1, n)
     u0 = build_initial_condition(grid, {"kind": "cosine", "base": 1.0, "amplitudes": [0.5]})
     output_times = np.linspace(t_end / n_out, t_end, n_out)
     trajectories = run_batch([
-        (u0, SolverConfig(
-            m=m, t_end=t_end, output_times=output_times, floor_m_lt_1=0.25 if m < 1 else 0.0
-        ))
+        (u0, SolverConfig(m=m, t_end=t_end, output_times=output_times))
         for m in ms
     ])
     return dict(zip(ms, trajectories))

@@ -8,8 +8,8 @@ spectral space so that the conservative divergence keeps its accuracy.
 
 This module owns every Fourier symbol: spectral_symbols(grid) builds them
 once per grid, and the potential, the drift, the Laplacian, the energy and
-the solver's mollifier all read them from there.  The data are real, so
-every operation runs on the half spectrum of np.fft.rfftn: the first axis
+the mollifier of initial data all read them from there.  The data are real,
+so every operation runs on the half spectrum of np.fft.rfftn: the first axis
 keeps all n wavenumbers (fftfreq), the last only 0..n//2 (rfftfreq), and
 irfftn restores the real field.  The modes the half spectrum leaves out are
 the complex conjugates of the ones it keeps, which the energy counts with a
@@ -42,6 +42,7 @@ __all__ = [
     "coulomb_potential",
     "coulomb_field",
     "spectral_laplacian",
+    "mollify",
     "lp_norm",
     "mean",
     "interaction_energy",
@@ -236,6 +237,14 @@ def spectral_laplacian(u: ScalarField) -> ScalarField:
     """Spectral Laplacian, used for round-trip checks of the Coulomb solve."""
     ksq = spectral_symbols(u.grid).ksq
     return ScalarField(u.grid, fourier_multiply(u, -4.0 * np.pi**2 * ksq))
+
+
+def mollify(u: ScalarField, width: float) -> ScalarField:
+    """Spectral Gaussian smoothing with standard deviation `width`; u itself if width <= 0."""
+    if width <= 0:
+        return u
+    damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(u.grid).ksq)
+    return ScalarField(u.grid, np.maximum(fourier_multiply(u, damp), 0.0))
 
 
 def lp_norm(u: ScalarField, p: float) -> float:

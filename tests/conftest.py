@@ -39,7 +39,6 @@ def fast_diffusion_run():
         m=0.5,
         t_end=2.0,
         output_times=np.linspace(0.05, 2.0, 40),
-        floor_m_lt_1=0.005,
     )
     return run(cosine_field(256, amp=0.99), cfg)
 

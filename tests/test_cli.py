@@ -89,6 +89,20 @@ MALFORMED = [
         id="initial_condition.mollify-negative",
     ),
     pytest.param(
+        "simulate", sim_doc("initial_condition", mollify=float("inf")), "initial_condition",
+        "mollify", id="initial_condition.mollify-inf",
+    ),
+    pytest.param(
+        "simulate", sim_doc("initial_condition", mollify="on"), "initial_condition", "mollify",
+        id="initial_condition.mollify-str",
+    ),
+    # keys of another kind are named, not ignored; the first in sorted order
+    pytest.param(
+        "simulate",
+        sim_ic(kind="cosine", base=1, amplitudes=[0.5], value=7.0, blocks=[[0.1, 0.2, 9.0]]),
+        "initial_condition", "blocks", id="initial_condition.key-of-another-kind",
+    ),
+    pytest.param(
         "simulate", sim_ic(kind="cosine", amplitudes=[0.5]), "initial_condition", None,
         id="cosine-no-base",
     ),
@@ -243,12 +257,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="solver.'viscosity'|viscosity"):
             load_config(cfg)
 
-    def test_floor_required_for_fast_diffusion(self, tmp_path):
-        doc = json.loads(json.dumps(SIM_DOC))
-        doc["solver"]["m"] = 0.5
-        cfg = write_config(tmp_path / "c.json", doc)
-        with pytest.raises(ConfigError, match="floor_m_lt_1"):
-            load_config(cfg)
+    def test_key_unused_by_kind_named(self, tmp_path):
+        doc = sim_ic(kind="constant", value=1.0, amplitudes=[0.5])
+        with pytest.raises(
+            ConfigError, match="initial_condition.amplitudes is not used by kind 'constant'"
+        ):
+            load_config(write_config(tmp_path / "c.json", doc))
+
+    def test_floor_key_is_unknown(self, tmp_path, capsys):
+        # m < 1 needs a positive initial minimum, a rule of the data, not a key
+        cfg = write_config(tmp_path / "c.json", sim_doc("solver", m=0.5, floor_m_lt_1=0.25))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown key solver.'floor_m_lt_1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fast_diffusion_runs_on_positive_data(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", sim_doc("solver", m=0.5))
+        assert load_config(cfg).solver.m == 0.5
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _, obs = read_csv(out / "observables.csv")
+        assert obs["t"][-1] == 0.5
+        assert np.min(obs["min"]) >= 0.5
+
+    def test_fast_diffusion_on_a_zero_cell_exit_2(self, tmp_path, capsys):
+        doc = {
+            **sim_doc("solver", m=0.5),
+            "initial_condition": {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]], "mollify": "off"},
+        }
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m < 1 requires a positive initial minimum, got 0.0")
+        assert not glob.glob(str(out / "u_*")) and not glob.glob(str(out / "k_*"))
 
     def test_bad_json_is_config_error(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -10,6 +10,7 @@ from coulombflow.barrier_ode import BarrierParams, phi_envelopes
 from coulombflow.cli import main
 from coulombflow.config import load_config
 from coulombflow.csvio import read_csv
+from coulombflow.initial_conditions import build_initial_condition
 from coulombflow.pde_solver import SolverConfig, run
 from coulombflow.torus_field import (
     ScalarField,
@@ -17,6 +18,7 @@ from coulombflow.torus_field import (
     hminus1_norm,
     lp_norm,
     make_grid,
+    mollify,
 )
 
 
@@ -49,8 +51,6 @@ class TestTwoDimensional:
         assert hminus1_norm(u) == pytest.approx(1 / (2 * np.pi * np.sqrt(2)), rel=1e-12)
 
     def test_2d_blocks_and_power_edge(self):
-        from coulombflow.initial_conditions import build_initial_condition
-
         g = make_grid(2, 32)
         u = build_initial_condition(
             g, {"kind": "blocks", "blocks": [[0.25, 0.75, 0.25, 0.75, 2.0]]}
@@ -168,7 +168,25 @@ class TestCliEdgeCases:
             assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert "initial_condition.mollify" in capsys.readouterr().err
         else:
-            assert load_config(cfg).solver.mollify_width == pytest.approx(width)
+            assert load_config(cfg).mollify_width == pytest.approx(width)
+
+    def test_blocks_data_mollified_when_loaded(self, tmp_path):
+        # the config smooths the data; run integrates cfg.u0 as it is
+        doc = {
+            "grid": {"dim": 1, "n": 128},
+            "solver": {"m": 2.0, "t_end": 0.05, "output_times": [0.05]},
+            "initial_condition": {"kind": "blocks", "blocks": [[0.25, 0.75, 2.0]]},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        loaded = load_config(cfg)
+        raw = build_initial_condition(loaded.grid, doc["initial_condition"])
+        want = mollify(raw, 2.0 * loaded.grid.h).values
+        assert np.array_equal(loaded.u0.values, want)
+        assert not np.array_equal(raw.values, want)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _, cols = read_csv(out / "u_0.000000.csv")
+        assert np.array_equal(cols["value"], want)
 
     def test_mollify_default_for_blocks(self, tmp_path):
         doc = {

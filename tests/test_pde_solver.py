@@ -10,7 +10,6 @@ from coulombflow.pde_solver import (
     cfl_dt,
     dissipation_check,
     entropy_residual,
-    mollify,
     run,
     run_batch,
     step,
@@ -24,6 +23,7 @@ from coulombflow.torus_field import (
     make_grid,
     mean,
     mode_energy,
+    mollify,
 )
 
 
@@ -85,25 +85,23 @@ class TestCflDt:
         # no grid and no run: the rules hold for the config alone
         with pytest.raises(ValueError, match="^cfl"):
             SolverConfig(m=2.0, cfl=0.95)
-        with pytest.raises(ValueError, match="^floor_m_lt_1"):
-            SolverConfig(m=0.5)
         cfg = SolverConfig(m=2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.cfl = 0.95
 
     @pytest.mark.parametrize(
-        "fields, name",
-        [
-            ({"output_times": [0.05, 2.0, -1.0], "mollify_width": -3.0}, "output_times"),
-            ({"output_times": 0.05}, "output_times"),
-            ({"output_times": [0.05], "mollify_width": -3.0}, "mollify_width"),
-            ({"mollify_width": np.inf}, "mollify_width"),
-        ],
-        ids=["times-outside", "times-scalar", "width-negative", "width-inf"],
+        "times", [[0.05, 2.0, -1.0], 0.05], ids=["times-outside", "times-scalar"]
     )
-    def test_output_times_and_mollify_width_checked_when_built(self, fields, name):
-        with pytest.raises(ValueError, match=f"^{name}"):
-            run(cosine(16), SolverConfig(m=1.0, t_end=0.1, **fields))
+    def test_output_times_checked_when_built(self, times):
+        with pytest.raises(ValueError, match="^output_times"):
+            run(cosine(16), SolverConfig(m=1.0, t_end=0.1, output_times=times))
+
+    def test_scheme_parameters_only(self):
+        # the data's rules (m < 1 needs a positive minimum, the mollifier)
+        # belong to run_batch and the experiment config
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "m", "epsilon", "cfl", "t_end", "output_times", "record_every",
+        ]
 
     def test_underflow_rejected(self):
         u = cosine(64)
@@ -196,9 +194,21 @@ class TestRun:
         hi = phi_curve(BarrierParams(1.0, 1.5, 2.0), obs.t)
         assert np.max(obs.max - hi) <= 0.02
 
-    def test_m_lt_1_requires_floor(self):
-        with pytest.raises(ValueError, match="floor"):
-            run(cosine(64), SolverConfig(m=0.5, t_end=0.1))
+    @pytest.mark.parametrize("lowest", [0.0, -0.0, np.nan])
+    def test_m_lt_1_requires_positive_minimum(self, lowest):
+        # u^m is not Lipschitz at zero for m < 1: a zero cell has no step bound
+        u0 = cosine(64)
+        u0.values[7] = lowest
+        cfg = SolverConfig(m=0.5, t_end=0.1)
+        rule = "m < 1 requires a positive initial minimum, got"
+        with pytest.raises(SolverError, match=f"^{rule}"):
+            run(u0, cfg)
+        with pytest.raises(SolverError, match=f"^member 1: {rule}"):
+            run_batch([(cosine(64), cfg), (u0, cfg)])
+        # the rule is the data's: positive data at m < 1 runs without any floor
+        traj = run(cosine(64), cfg)
+        assert traj.times[-1] == 0.1
+        assert traj.observables.min[-1] >= 0.5
 
     def test_rejects_negative_initial(self):
         g = make_grid(1, 64)
@@ -224,7 +234,7 @@ class TestRun:
         g = make_grid(1, 256)
         x = g.axis_coordinates()
         u0 = ScalarField(g, np.maximum(np.where((x > 0.25) & (x < 0.75), 4.0, 0.0), floor))
-        cfg = SolverConfig(m=0.3, epsilon=eps, t_end=0.1, floor_m_lt_1=floor)
+        cfg = SolverConfig(m=0.3, epsilon=eps, t_end=0.1)
         obs = run(u0, cfg).observables
         assert np.max(np.abs(obs.mass - obs.mass[0])) <= 1e-11 * obs.mass[0]
         assert np.all(np.diff(obs.max) <= 0.0)
@@ -287,7 +297,6 @@ def _run_reference(u0, cfg):
     grid = u0.grid
     h, cm, m = grid.h, grid.cell_measure, cfg.m
     eps = cfg.epsilon_at(grid)
-    u0 = mollify(u0, cfg.mollify_width)
     outputs = []
     for t in sorted(float(t) for t in cfg.output_times if 0.0 < t <= cfg.t_end):
         if not outputs or t - outputs[-1] > 1e-12:
@@ -375,7 +384,7 @@ def test_run_matches_roll_based_reference(dim, m, floor, eps, every):
     u0 = ScalarField(g, np.maximum(2.0 * bump, floor))
     cfg = SolverConfig(
         m=m, epsilon=eps, t_end=0.1, output_times=np.linspace(0.01, 0.1, 10),
-        floor_m_lt_1=floor, record_every=every,
+        record_every=every,
     )
     traj = run(u0, cfg)
     want_snaps, want_rows = _run_reference(u0, cfg)
@@ -426,7 +435,7 @@ def _batch_members_1d():
     bump = np.maximum(2.0 * (np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x)), 0.0)
     return [
         (ScalarField(g, np.maximum(bump, 0.05)), SolverConfig(
-            m=0.5, floor_m_lt_1=0.05, t_end=0.1, output_times=np.linspace(0.01, 0.1, 10),
+            m=0.5, t_end=0.1, output_times=np.linspace(0.01, 0.1, 10),
         )),
         (ScalarField(g, block), SolverConfig(
             m=1.0, epsilon=0.0, cfl=0.9, t_end=0.07, output_times=[0.02, 0.05], record_every=3,
@@ -435,8 +444,8 @@ def _batch_members_1d():
             m=2.0, epsilon=0.003, cfl=0.3, t_end=0.12,
             output_times=np.linspace(0.03, 0.12, 4), record_every=2,
         )),
-        (ScalarField(g, bump), SolverConfig(
-            m=4.0, cfl=0.5, t_end=0.05, output_times=[0.05], record_every=5, mollify_width=0.02,
+        (mollify(ScalarField(g, bump), 0.02), SolverConfig(
+            m=4.0, cfl=0.5, t_end=0.05, output_times=[0.05], record_every=5,
         )),
     ]
 

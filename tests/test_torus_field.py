@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coulombflow.pde_solver import mollify
 from coulombflow.torus_field import (
     ScalarField,
     coulomb_drift,
@@ -16,6 +15,7 @@ from coulombflow.torus_field import (
     make_grid,
     mean,
     mode_energy,
+    mollify,
     spectral_laplacian,
 )
 
