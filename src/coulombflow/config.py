@@ -9,8 +9,9 @@ that uses the section, all at load time: `make_grid` checks the grid,
 that names the section, and for the grid, the solver, `verify.n`, a missing
 or unused `initial_condition` key and a missing `fronts` key the key.  This
 module checks only what no owner does: `initial_condition.mollify`,
-`fronts.t_end` positive and finite, no `fronts` key that the chosen mode
-does not use, and `outputs.formats`.
+`fronts.t_end` positive and finite, each field of the front state a number,
+no `fronts` key that the chosen mode does not use, and `outputs.formats`.
+Wherever a number is required, a JSON boolean is rejected (`is_number`).
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import contextlib
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from coulombflow.hj_fronts import FRONT_SYSTEMS
 from coulombflow.initial_conditions import KINDS, build_initial_condition
 from coulombflow.pde_solver import SolverConfig
-from coulombflow.torus_field import ScalarField, TorusGrid, make_grid, mollify
+from coulombflow.torus_field import ScalarField, TorusGrid, is_number, make_grid, mollify
 
 __all__ = ["ConfigError", "ExperimentConfig", "FrontRun", "load_config"]
 
@@ -103,7 +103,7 @@ def _mollify_width(ic: dict, grid: TorusGrid) -> float:
     mol = ic["mollify"]
     if mol == "off":
         return 0.0
-    if not (isinstance(mol, numbers.Real) and 0 <= mol < math.inf):
+    if not (is_number(mol) and 0 <= mol < math.inf):
         raise ConfigError(
             f"initial_condition.mollify must be 'off' or a finite number >= 0, got {mol!r}"
         )
@@ -127,11 +127,15 @@ def _build_fronts(fronts: dict) -> FrontRun:
         if mode not in FRONT_SYSTEMS:
             raise ValueError(f"mode must be one of {sorted(FRONT_SYSTEMS)}, got {mode!r}")
         t_end = fronts.get("t_end", 1.0)
-        if not (isinstance(t_end, numbers.Real) and 0 < t_end < math.inf):
+        if not (is_number(t_end) and 0 < t_end < math.inf):
             raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
         cls = FRONT_SYSTEMS[mode][0]
         names = [f.name for f in dataclasses.fields(cls)]
-        state = cls(**{name: fronts[name] for name in names})
+        values = {name: fronts[name] for name in names}
+        for name, value in values.items():
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        state = cls(**values)
     unused = fronts.keys() - {"mode", "t_end", *names}
     if unused:
         raise ConfigError(f"fronts.{min(unused)} is not used by mode {mode!r}; it takes {names}")

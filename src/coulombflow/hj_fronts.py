@@ -47,6 +47,10 @@ __all__ = [
 
 _GAP_FLOOR = 1e-10
 _BASE_STEP = 1e-4
+# The front ODEs step on Python floats, whose division by zero raises.  A
+# divisor that underflowed to zero (a gap^(m-1) or ubar^m at large m) is
+# replaced by this, so the quotient is the inf or NaN that float64 gives.
+_IEEE_ZERO = np.float64(0.0)
 
 
 class FrontIntegrationError(RuntimeError):
@@ -249,11 +253,11 @@ class FrontTrajectory:
 
 
 def _rk4_integrate(
-    rhs: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    rhs: Callable[[tuple[float, ...]], tuple[tuple[float, ...], float]],
     init,
     t_end: float,
-    gap_of: Callable[[np.ndarray], float],
-    valid: Callable[[np.ndarray], bool],
+    gap_of: Callable[[tuple[float, ...]], float],
+    valid: Callable[[tuple[float, ...]], bool],
 ) -> FrontTrajectory:
     """Fixed-rule RK4 stepping of the fronts init.MOVING.
 
@@ -266,9 +270,17 @@ def _rk4_integrate(
     stability interval.  The rules keep the local RK4 error orders of
     magnitude below every stated tolerance.  Integration halts when the gap
     falls below 1e-10 or a step leaves the region `valid` accepts.
+
+    The state and the stages are tuples of Python floats, since a system has
+    two or four fronts and per-call numpy overhead would dominate the cost.
+    Each stage is formed in the order the array expressions
+    y + (0.5 dt) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) evaluate, so
+    the trajectory is bit-identical to stepping float64 arrays; its arrays
+    are built once, when the integration ends.
     """
-    m, ubar = init.m, init.ubar
-    y = np.array([getattr(init, name) for name in init.MOVING], dtype=float)
+    m = init.m
+    um = init.ubar**m or _IEEE_ZERO
+    y = tuple(float(getattr(init, name)) for name in init.MOVING)
     d, rate = rhs(y)
     t, ts, ys, ds = 0.0, [0.0], [y], [d]
     halted = None
@@ -278,15 +290,20 @@ def _rk4_integrate(
             halted = t
             break
         k1 = d  # rhs at y, evaluated once at the end of the previous step
-        speed = float(np.max(np.abs(k1)))
-        dt = _BASE_STEP * min(1.0, gap ** (m - 1.0) / ubar**m)
-        if speed > 0.0:
+        dt = _BASE_STEP * min(1.0, gap ** (m - 1.0) / um)
+        speed = max(map(abs, k1))
+        if speed > 0.0 and not any(map(math.isnan, k1)):  # np.max keeps a NaN
             dt = max(dt, 1e-3 * gap / speed)
-        dt = min(dt, 0.05 / rate, t_end - t)
-        k2 = rhs(y + 0.5 * dt * k1)[0]
-        k3 = rhs(y + 0.5 * dt * k2)[0]
-        k4 = rhs(y + dt * k3)[0]
-        y_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        dt = min(dt, 0.05 / (rate or _IEEE_ZERO), t_end - t)
+        half = 0.5 * dt
+        k2 = rhs(tuple([a + half * b for a, b in zip(y, k1)]))[0]
+        k3 = rhs(tuple([a + half * b for a, b in zip(y, k2)]))[0]
+        k4 = rhs(tuple([a + dt * b for a, b in zip(y, k3)]))[0]
+        sixth = dt / 6.0
+        y_new = tuple([
+            a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ])
         if not valid(y_new):
             halted = t
             break
@@ -300,12 +317,13 @@ def _rk4_integrate(
 
 def integrate_single_vortex(init: SingleVortexState, t_end: float) -> FrontTrajectory:
     """Track the shock pair of the single-vortex profile until t_end."""
-    ubar, m = init.ubar, init.m
+    m = init.m
+    um = init.ubar**m
 
     def rhs(y):
         s1, s2 = y
-        denom = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0)
-        return np.array([-(ubar**m) * s1 / denom, ubar**m * (1.0 - s2) / denom]), ubar**m / denom
+        denom = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
+        return (-um * s1 / denom, um * (1.0 - s2) / denom), um / denom
 
     traj = _rk4_integrate(
         rhs,
@@ -329,15 +347,15 @@ def integrate_two_vortex(init: TwoVortexState, t_end: float) -> FrontTrajectory:
 
     def rhs(y):
         s1, s2, s3, s4 = y
-        d12 = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0)
-        d34 = max(s4 - s3, _GAP_FLOOR) ** (m - 1.0)
-        velocities = [
+        d12 = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
+        d34 = max(s4 - s3, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
+        velocities = (
             -a_fac * s1 / d12,
             a_fac * (alpha - s2) / d12,
             b_fac * (alpha - s3) / d34,
             b_fac * (1.0 - s4) / d34,
-        ]
-        return np.array(velocities), max(a_fac / d12, b_fac / d34)
+        )
+        return velocities, max(a_fac / d12, b_fac / d34)
 
     def valid(y):
         s1, s2, s3, s4 = y
@@ -393,9 +411,9 @@ def integrate_supersolution(init: SupersolutionState, t_end: float) -> FrontTraj
 
     def rhs(y):
         s2, s3 = y
-        denom = max(s3 - s2, _GAP_FLOOR) ** (m - 1.0)
-        velocities = [-fac * (s3 - s2 + (1.0 - alpha) * sp1) / denom, fac * (1.0 - s3) / denom]
-        return np.array(velocities), fac / denom
+        denom = max(s3 - s2, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
+        velocities = (-fac * (s3 - s2 + (1.0 - alpha) * sp1) / denom, fac * (1.0 - s3) / denom)
+        return velocities, fac / denom
 
     traj = _rk4_integrate(
         rhs, init, t_end, gap_of=lambda y: y[1] - y[0], valid=lambda y: y[1] <= 1.0 + 1e-12

@@ -88,6 +88,8 @@ def _from_file(grid: TorusGrid, path: str) -> np.ndarray:
         raise ValueError(
             f"file {path} has {flat.size} values, grid needs {grid.num_cells}"
         )
+    if not np.isfinite(flat).all():
+        raise ValueError(f"file {path} holds a non-finite value; initial data must be finite")
     if np.min(flat) < 0:
         raise ValueError("initial data from file must be nonnegative")
     return flat.reshape(grid.shape)

@@ -32,6 +32,7 @@ from coulombflow.torus_field import (
     TorusGrid,
     coulomb_drift,
     half_spectrum,
+    is_number,
     mean,
     mode_energy,
 )
@@ -81,7 +82,7 @@ class SolverConfig:
     def __post_init__(self):
         """Check the invariants; each error message begins with the offending field."""
         for name, value in (("m", self.m), ("cfl", self.cfl), ("t_end", self.t_end)):
-            if not isinstance(value, numbers.Real):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.m < np.inf:
             raise ValueError(f"m must be positive and finite, got {self.m}")
@@ -89,15 +90,15 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+        if not is_number(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         times = self.output_times
         if not isinstance(times, (list, tuple, np.ndarray)) or not all(
-            isinstance(t, numbers.Real) and 0 < t <= self.t_end for t in times
+            is_number(t) and 0 < t <= self.t_end for t in times
         ):
             raise ValueError("output_times must be numbers in (0, t_end]")
         auto = self.epsilon == "auto"
-        if not (auto or (isinstance(self.epsilon, numbers.Real) and 0 <= self.epsilon < np.inf)):
+        if not (auto or (is_number(self.epsilon) and 0 <= self.epsilon < np.inf)):
             raise ValueError(
                 f"epsilon must be 'auto' or a finite number >= 0, got {self.epsilon!r}"
             )
@@ -408,10 +409,11 @@ def run_batch(
     The field is never written to afterwards, so the hook may keep it.  An
     exception from the hook ends the run and propagates.
 
-    The members' data are integrated as given: each must be nonnegative, and
-    positive where m < 1, since u^m is not Lipschitz at zero.  Raises
-    ValueError for an empty batch or members on different grids.  In a batch
-    of more than one, a SolverError names the failing member's index.
+    The members' data are integrated as given: each must be finite and
+    nonnegative, and positive where m < 1, since u^m is not Lipschitz at
+    zero.  Raises ValueError for an empty batch or members on different
+    grids.  In a batch of more than one, a SolverError names the failing
+    member's index.
     """
     members = list(members)
     if not members:
@@ -433,6 +435,8 @@ def run_batch(
             fail(i, "initial data must be nonnegative")
         if cfg.m < 1 and not lowest > 0.0:
             fail(i, f"m < 1 requires a positive initial minimum, got {lowest}")
+        if not np.isfinite(u0.values).all():
+            fail(i, "initial data must be finite")
 
     start = [u0.values for u0, _ in members]
     values = np.stack(start) if len(start) > 1 else start[0].copy()
@@ -511,10 +515,14 @@ def run_batch(
                 fail(i, str(exc))
         # Each member's exponent stays a Python float: np.power has fast
         # paths for a scalar exponent (square, sqrt) that an array one skips.
+        # Mixed m raise each row of one clamped copy in place, as _mobility
+        # would raise that member alone.
         if shared_m is not None:
             mob = _mobility(values, shared_m)
         else:
-            mob = np.stack([_mobility(v, cfgs[i].m) for v, i in zip(values, active)])
+            mob = np.maximum(values, 0.0)
+            for row, i in zip(mob, active):
+                np.power(row, cfgs[i].m, out=row)
         dissipation = _listed(_dissipation_density(mob, faces))
         values, worst = _euler_update(grid, values, mob, faces, dts, eps_rows)
         lowest = min(worst)

@@ -105,18 +105,27 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
+def is_number(value, kind: type = numbers.Real) -> bool:
+    """Whether value is an instance of the numeric ABC kind and not a bool.
+
+    numbers.Real and numbers.Integral include bool, so without the second
+    test a JSON true would pass as 1.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def make_grid(dim: int, n: int) -> TorusGrid:
     """Build a uniform torus grid; rejects dim not in {1, 2} and n not an integer >= 8.
 
     Each error message begins with the name of the offending argument.
     """
-    if dim not in (1, 2):
+    if not (is_number(dim, numbers.Integral) and dim in (1, 2)):
         raise ValueError(f"dim = {dim!r} is an unsupported dimension (expected 1 or 2)")
-    if not isinstance(n, numbers.Integral):
+    if not is_number(n, numbers.Integral):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 8:
         raise ValueError(f"n = {n} < 8 makes the grid too coarse")
-    return TorusGrid(dim=dim, n=int(n))
+    return TorusGrid(dim=int(dim), n=int(n))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,37 @@ MALFORMED = [
         id="solver.output_times-tag-of-t0",
     ),
     pytest.param("simulate", sim_doc("grid", n=16.0), "grid", "n", id="grid.n-float"),
+    # JSON booleans are not numbers, although numbers.Real and Integral admit bool
+    *(
+        pytest.param(
+            "simulate", sim_doc(section, **{key: value}), section, key, id=f"{section}.{key}-bool"
+        )
+        for section, key, value in (
+            ("solver", "m", True),
+            ("solver", "cfl", True),
+            ("solver", "t_end", True),
+            ("solver", "epsilon", False),
+            ("solver", "record_every", True),
+            ("solver", "output_times", [0.1, True]),
+            ("grid", "dim", True),
+            ("grid", "n", True),
+            ("initial_condition", "mollify", True),
+        )
+    ),
+    pytest.param(
+        "verify", {"verify": {"suite": "theorem-suite-small", "n": True}}, "verify", "n",
+        id="verify.n-bool",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75, "t_end": True}},
+        "fronts", None, id="fronts.t_end-bool",
+    ),
+    pytest.param(
+        "fronts",
+        {"fronts": {"mode": "single", "m": True, "ubar": True, "s1": False, "s2": True}},
+        "fronts", None, id="fronts.state-bool",
+    ),
     pytest.param(
         "simulate", sim_doc("initial_condition", mollify=-3.0), "initial_condition", "mollify",
         id="initial_condition.mollify-negative",
@@ -488,6 +519,18 @@ class TestSimulate:
         assert_no_child_left()
         # the snapshot handed out before the failure is written; nothing else
         assert sorted(os.listdir(out)) == ["k_0.000000.csv", "u_0.000000.csv"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_file_data_exit_2(self, tmp_path, capsys, bad):
+        src = tmp_path / "ic.csv"
+        src.write_text("\n".join(["1.0"] * 7 + [bad] + ["1.0"] * 8) + "\n")
+        doc = {**sim_doc("grid", n=16), "initial_condition": {"kind": "from_file", "path": str(src)}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial_condition: ") and "must be finite" in err
+        assert not out.exists()
 
     def test_wrong_file_length_rejected(self, tmp_path):
         src = tmp_path / "ic.csv"

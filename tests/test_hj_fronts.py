@@ -6,6 +6,7 @@ import pytest
 from coulombflow import hj_fronts
 from coulombflow.hj_fronts import (
     FRONT_BOUND_CONSTANTS,
+    FRONT_SYSTEMS,
     FrontIntegrationError,
     SingleVortexState,
     SupersolutionState,
@@ -44,6 +45,153 @@ def _hit_time_reference(traj, f):
         if hi - lo < 1e-13:
             break
     return 0.5 * (lo + hi)
+
+
+def _array_rk4(init, t_end):
+    """The front RK4 stepping float64 arrays, the reference for the float one.
+
+    The rhs, step rules and halting tests of each system as written before
+    the state became a tuple of floats.  Returns (times, positions, derivs,
+    halted_at).
+    """
+    m, ubar = init.m, init.ubar
+    if isinstance(init, SingleVortexState):
+
+        def rhs(y):
+            s1, s2 = y
+            denom = max(s2 - s1, 1e-10) ** (m - 1.0)
+            return (
+                np.array([-(ubar**m) * s1 / denom, ubar**m * (1.0 - s2) / denom]),
+                ubar**m / denom,
+            )
+
+        def gap_of(y):
+            return y[1] - y[0]
+
+        def valid(y):
+            return 0.0 - 1e-12 <= y[0] < y[1] <= 1.0 + 1e-12
+
+    elif isinstance(init, TwoVortexState):
+        alpha = init.alpha
+        a_fac = alpha ** (m - 1.0) * ubar**m
+        b_fac = (1.0 - alpha) ** (m - 1.0) * ubar**m
+
+        def rhs(y):
+            s1, s2, s3, s4 = y
+            d12 = max(s2 - s1, 1e-10) ** (m - 1.0)
+            d34 = max(s4 - s3, 1e-10) ** (m - 1.0)
+            velocities = [
+                -a_fac * s1 / d12,
+                a_fac * (alpha - s2) / d12,
+                b_fac * (alpha - s3) / d34,
+                b_fac * (1.0 - s4) / d34,
+            ]
+            return np.array(velocities), max(a_fac / d12, b_fac / d34)
+
+        def gap_of(y):
+            return min(y[1] - y[0], y[3] - y[2])
+
+        def valid(y):
+            s1, s2, s3, s4 = y
+            tol = 1e-12
+            return (
+                -tol <= s1 < s2 <= alpha + tol <= s3 + 2 * tol
+                and alpha - tol <= s3 < s4 <= 1.0 + tol
+            )
+
+    else:
+        alpha, sp1 = init.alpha, init.sigma_prime_1
+        fac = (1.0 - alpha) ** (m - 1.0) * ubar**m * sp1 ** (m - 1.0)
+
+        def rhs(y):
+            s2, s3 = y
+            denom = max(s3 - s2, 1e-10) ** (m - 1.0)
+            velocities = [-fac * (s3 - s2 + (1.0 - alpha) * sp1) / denom, fac * (1.0 - s3) / denom]
+            return np.array(velocities), fac / denom
+
+        def gap_of(y):
+            return y[1] - y[0]
+
+        def valid(y):
+            return y[1] <= 1.0 + 1e-12
+
+    y = np.array([getattr(init, name) for name in init.MOVING], dtype=float)
+    d, rate = rhs(y)
+    t, ts, ys, ds = 0.0, [0.0], [y], [d]
+    halted = None
+    while t < t_end - 1e-15:
+        gap = gap_of(y)
+        if gap < 1e-10:
+            halted = t
+            break
+        k1 = d
+        speed = float(np.max(np.abs(k1)))
+        dt = 1e-4 * min(1.0, gap ** (m - 1.0) / ubar**m)
+        if speed > 0.0:
+            dt = max(dt, 1e-3 * gap / speed)
+        dt = min(dt, 0.05 / rate, t_end - t)
+        k2 = rhs(y + 0.5 * dt * k1)[0]
+        k3 = rhs(y + 0.5 * dt * k2)[0]
+        k4 = rhs(y + dt * k3)[0]
+        y_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not valid(y_new):
+            halted = t
+            break
+        t, y = t + dt, y_new
+        d, rate = rhs(y)
+        ts.append(t)
+        ys.append(y)
+        ds.append(d)
+    return np.array(ts), np.array(ys), np.array(ds), halted
+
+
+_EDGE = 1.0 - 1.5e-10  # an initial gap of 1.5e-10: gap^(m-1) underflows to 0 at m = 40
+
+_RK4_CASES = [
+    pytest.param(SingleVortexState(0.25, 0.75, 1.0, 1.0), 2.0, id="single-m1"),
+    pytest.param(SingleVortexState(0.2, 0.6, 1.0, 2.0), 2.0, id="single-m2"),
+    pytest.param(TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 2.0), 0.8, id="two-vortex"),
+    pytest.param(COMPARISON_STATE, 1.0, id="supersolution"),
+    # ubar^m underflows to 0: every rate is 0 and the fronts stand still
+    pytest.param(SingleVortexState(0.25, 0.75, 1e-3, 200.0), 0.01, id="single-rate-zero"),
+    # a zero divisor gives inf and NaN velocities: the first step halts
+    pytest.param(
+        TwoVortexState(0.0, 1.5e-10, 0.7, 0.9, 0.5, 1.0, 40.0), 1.0, id="two-vortex-halts"
+    ),
+    pytest.param(
+        TwoVortexState(0.1, 0.3, _EDGE, 1.0, _EDGE, 1.0, 40.0), 1.0, id="two-vortex-nan-speed"
+    ),
+    pytest.param(SingleVortexState(_EDGE, 1.0, 1.0, 40.0), 1.0, id="single-halts"),
+]
+
+
+@pytest.mark.parametrize("init, t_end", _RK4_CASES)
+def test_rk4_matches_array_reference(init, t_end):
+    integrate = {cls: integrator for cls, integrator in FRONT_SYSTEMS.values()}[type(init)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times, positions, derivs, halted_at = _array_rk4(init, t_end)
+        try:
+            traj = integrate(init, t_end)
+        except FrontIntegrationError as exc:
+            # the single vortex raises where the others return a halted trajectory
+            assert halted_at is not None and exc.t_reached == halted_at
+            return
+    assert traj.halted_at == halted_at
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.positions, positions, equal_nan=True)
+    assert np.array_equal(traj.derivs, derivs, equal_nan=True)
+    assert traj.positions.dtype == traj.derivs.dtype == np.float64
+
+
+def test_rk4_reference_cases_halt_and_step():
+    # the cases above include long runs and halting ones of every system
+    halted = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for case in _RK4_CASES:
+            times, _, _, halted_at = _array_rk4(*case.values)
+            halted.append(halted_at is not None)
+            assert halted_at is not None or len(times) > 100
+    assert sum(halted) == 3
 
 
 class TestSingleVortex:

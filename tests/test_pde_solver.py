@@ -90,6 +90,15 @@ class TestCflDt:
             cfg.cfl = 0.95
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("m", True), ("cfl", True), ("t_end", True), ("epsilon", False), ("record_every", True),
+         ("output_times", [True])],
+    )
+    def test_booleans_are_not_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}"):
+            SolverConfig(**{"m": 1.0, "epsilon": 0.0, **{key: value}})
+
+    @pytest.mark.parametrize(
         "times", [[0.05, 2.0, -1.0], 0.05], ids=["times-outside", "times-scalar"]
     )
     def test_output_times_checked_when_built(self, times):
@@ -209,6 +218,21 @@ class TestRun:
         traj = run(cosine(64), cfg)
         assert traj.times[-1] == 0.1
         assert traj.observables.min[-1] >= 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_data_rejected(self, bad):
+        u0 = cosine(64)
+        u0.values[7] = bad
+        cfg = SolverConfig(m=2.0, t_end=0.1)
+        handed_out = []
+        with pytest.raises(SolverError, match="^initial data must be finite$"):
+            run(u0, cfg, on_snapshot=lambda *snapshot: handed_out.append(snapshot))
+        with pytest.raises(SolverError, match="^member 1: initial data must be finite$"):
+            run_batch(
+                [(cosine(64), cfg), (u0, cfg)],
+                on_snapshot=lambda *snapshot: handed_out.append(snapshot),
+            )
+        assert handed_out == []
 
     def test_rejects_negative_initial(self):
         g = make_grid(1, 64)
@@ -387,7 +411,12 @@ def test_run_matches_roll_based_reference(dim, m, floor, eps, every):
         record_every=every,
     )
     traj = run(u0, cfg)
-    want_snaps, want_rows = _run_reference(u0, cfg)
+    _assert_matches_reference(traj, *_run_reference(u0, cfg))
+    assert len(traj.observables.t) >= 4
+
+
+def _assert_matches_reference(traj, want_snaps, want_rows):
+    """traj bit-equal to what _run_reference returns for the same member."""
     assert [t for t, _ in traj.snapshots] == [t for t, _ in want_snaps]
     for (_, got), (_, want) in zip(traj.snapshots, want_snaps):
         assert np.array_equal(got.values, want)
@@ -396,7 +425,7 @@ def test_run_matches_roll_based_reference(dim, m, floor, eps, every):
         obs.t, obs.mass, obs.min, obs.max, obs.mass, obs.l2, obs.max,
         obs.energy, obs.cumulative_dissipation, obs.grad_sup,
     ]
-    assert len(obs.t) >= 4
+    assert len(got_cols) == want_rows.shape[1]
     for got, want in zip(got_cols, want_rows.T):
         assert np.array_equal(got, want)
 
@@ -474,6 +503,14 @@ def test_run_batch_matches_run(members):
         _assert_same_trajectory(got, want)
     # the members really differ in step count, recording and finishing time
     assert len({len(traj.observables.t) for traj in batch}) == len(batch)
+
+
+@pytest.mark.parametrize("members", [_batch_members_1d(), _batch_members_2d()], ids=["d1", "d2"])
+def test_run_batch_matches_roll_based_reference(members):
+    # d1 mixes m, so the batch raises each row's mobility in place; the
+    # reference shares none of the batch code
+    for (u0, cfg), traj in zip(members, run_batch(members)):
+        _assert_matches_reference(traj, *_run_reference(u0, cfg))
 
 
 def test_run_batch_rejects_empty_and_mixed_grids():

@@ -41,6 +41,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="unsupported dimension"):
             make_grid(3, 8)
 
+    @pytest.mark.parametrize("dim, n, key", [(True, 16, "dim"), (1, True, "n"), (1.0, 16, "dim")])
+    def test_rejects_booleans_and_non_integers(self, dim, n, key):
+        with pytest.raises(ValueError, match=f"^{key}"):
+            make_grid(dim, n)
+
     def test_rejects_coarse(self):
         with pytest.raises(ValueError, match="coarse"):
             make_grid(1, 4)
