@@ -6,11 +6,12 @@ that uses the section, all at load time: `make_grid` checks the grid,
 `build_initial_condition` the initial data and the keys its kind uses,
 `SolverConfig` when it is built the solver, and the state class that
 `fronts.mode` names the front system.  Their errors become a `ConfigError`
-that names the section, and for the grid, the solver, `verify.n`, a missing
-or unused `initial_condition` key and a missing `fronts` key the key.  This
-module checks only what no owner does: `initial_condition.mollify`,
-`fronts.t_end` positive and finite, each field of the front state a number,
-no `fronts` key that the chosen mode does not use, and `outputs.formats`.
+that names the section, and for the grid, the solver, `verify.n`, a missing,
+unused or non-numeric `initial_condition` key and a missing `fronts` key the
+key.  This module checks only what no owner does:
+`initial_condition.mollify`, `fronts.t_end` positive and finite, each field
+of the front state a number, no `fronts` key that the chosen mode does not
+use, and `outputs.formats`.
 Wherever a number is required, a JSON boolean is rejected (`is_number`).
 """
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from coulombflow.torus_field import ScalarField, TorusGrid
+from coulombflow.torus_field import ScalarField, TorusGrid, is_number
 
 __all__ = ["build_initial_condition", "KINDS"]
 
@@ -104,12 +104,31 @@ KINDS = {
     "from_file": (_from_file, ("path",), ()),
 }
 
+# The keys that hold numbers, each with its nesting: a number (0), a list of
+# numbers (1) or a list of number lists (2).  path is the only other key.
+_NUMERIC = {
+    "value": 0, "base": 0, "c": 0, "s0": 0, "exponent": 0, "center": 0,
+    "amplitudes": 1, "blocks": 2,
+}
+_NUMERIC_NAMES = ("a number", "a list of numbers", "a list of number lists")
+
+
+def _holds_numbers(value, depth: int) -> bool:
+    """Whether value is a number (depth 0) or a list of such values nested depth deep.
+
+    A JSON boolean is not a number (`is_number`).
+    """
+    if depth == 0:
+        return is_number(value)
+    return isinstance(value, (list, tuple)) and all(_holds_numbers(v, depth - 1) for v in value)
+
 
 def build_initial_condition(grid: TorusGrid, params: dict) -> ScalarField:
     """Construct the initial field from a config dictionary: `kind` and its keys.
 
     A missing required key raises KeyError naming it; a key the kind does not
-    use, or an unknown kind, raises ValueError.
+    use, an unknown kind, or a numeric key that holds anything but numbers
+    (a JSON boolean included) raises ValueError naming it.
     """
     kind = params.get("kind")
     if not (isinstance(kind, str) and kind in KINDS):
@@ -123,6 +142,12 @@ def build_initial_condition(grid: TorusGrid, params: dict) -> ScalarField:
             f"initial_condition.{min(unused)} is not used by kind {kind!r}; "
             f"it takes {[*required, *optional]}"
         )
+    for key in sorted(params.keys() & _NUMERIC.keys()):
+        depth = _NUMERIC[key]
+        if not _holds_numbers(params[key], depth):
+            raise ValueError(
+                f"initial_condition.{key} must be {_NUMERIC_NAMES[depth]}, got {params[key]!r}"
+            )
     vals = builder(
         grid, *(params[key] for key in required), **{k: params[k] for k in optional if k in params}
     )

@@ -101,6 +101,21 @@ MALFORMED = [
             ("initial_condition", "mollify", True),
         )
     ),
+    *(
+        pytest.param(
+            "simulate", sim_ic(**ic), "initial_condition", key, id=f"initial_condition.{key}-bool"
+        )
+        for key, ic in (
+            ("value", {"kind": "constant", "value": True}),
+            ("base", {"kind": "cosine", "base": True}),
+            ("amplitudes", {"kind": "cosine", "base": 1.0, "amplitudes": [False, True]}),
+            ("blocks", {"kind": "blocks", "blocks": [[0.25, 0.75, True]]}),
+            ("c", {"kind": "power_edge", "c": True, "s0": 0.5, "exponent": 1.0}),
+            ("s0", {"kind": "power_edge", "c": 4.0, "s0": True, "exponent": 1.0}),
+            ("exponent", {"kind": "power_edge", "c": 4.0, "s0": 0.5, "exponent": True}),
+            ("center", {"kind": "power_edge", "c": 4.0, "s0": 0.5, "exponent": 1.0, "center": False}),
+        )
+    ),
     pytest.param(
         "verify", {"verify": {"suite": "theorem-suite-small", "n": True}}, "verify", "n",
         id="verify.n-bool",

@@ -513,6 +513,69 @@ def test_run_batch_matches_roll_based_reference(members):
         _assert_matches_reference(traj, *_run_reference(u0, cfg))
 
 
+def _wavy(dim, n):
+    g = make_grid(dim, n)
+    x = g.coordinates()
+    return ScalarField(g, 1.0 + 0.5 * np.prod(np.cos(2 * np.pi * np.array(x)), axis=0)
+                       + 0.2 * np.sin(4 * np.pi * x[0]))
+
+
+# run_batch reduces the observables of up to ~32 KB of held field values at a
+# time: 21 states of the three-member n = 64 batch, 64 of a lone n = 64 run,
+# 16 of a lone 2-D n = 16 run, 8 of a pair of them and 1 of a 2-D n = 64 run.
+# Each case records more states than one such block, and the members leave
+# the batch in the middle of one.  (members, recorded rows per member)
+_BLOCK_CASES = {
+    "d1-three-leave-mid-block": (
+        [
+            (_wavy(1, 64), SolverConfig(m=2.0, t_end=0.1, output_times=[0.04])),
+            (_wavy(1, 64), SolverConfig(m=1.0, t_end=0.17, output_times=[0.1], record_every=3)),
+            (_wavy(1, 64), SolverConfig(m=0.5, t_end=0.25, output_times=[0.2], record_every=7)),
+        ],
+        [31, 18, 12],
+    ),
+    "d1-lone": (
+        [(_wavy(1, 64), SolverConfig(m=2.0, t_end=0.3, output_times=np.linspace(0.05, 0.3, 6)))],
+        [91],
+    ),
+    "d2-n16": (
+        [
+            (_wavy(2, 16), SolverConfig(m=2.0, t_end=0.2, output_times=[0.1])),
+            (_wavy(2, 16), SolverConfig(m=1.0, t_end=0.15, record_every=2)),
+        ],
+        [31, 12],
+    ),
+    "d2-n16-lone": ([(_wavy(2, 16), SolverConfig(m=2.0, t_end=0.2, output_times=[0.1]))], [31]),
+    "d2-n64": (
+        [
+            (_wavy(2, 64), SolverConfig(m=2.0, t_end=0.02, output_times=[0.01])),
+            (_wavy(2, 64), SolverConfig(m=4.0, t_end=0.015, record_every=4)),
+        ],
+        [13, 4],
+    ),
+    # the second member records t = 0 and then only its late row at t_end
+    "late-row-only": (
+        [
+            (_wavy(1, 64), SolverConfig(m=2.0, t_end=0.1)),
+            (_wavy(1, 64), SolverConfig(m=2.0, t_end=0.08, record_every=10**6)),
+        ],
+        [30, 2],
+    ),
+    "late-row-only-lone": ([(_wavy(1, 64), SolverConfig(m=2.0, t_end=0.08, record_every=10**6))], [2]),
+}
+
+
+@pytest.mark.parametrize("members, rows", _BLOCK_CASES.values(), ids=_BLOCK_CASES.keys())
+def test_observables_reduced_in_blocks_match_lone_runs_and_reference(members, rows):
+    batch = run_batch(members)
+    assert [len(traj.observables.t) for traj in batch] == rows
+    for (u0, cfg), traj in zip(members, batch):
+        if len(members) > 1:
+            _assert_same_trajectory(traj, run(u0, cfg))
+        _assert_matches_reference(traj, *_run_reference(u0, cfg))
+        assert traj.observables.t[-1] == cfg.t_end
+
+
 def test_run_batch_rejects_empty_and_mixed_grids():
     with pytest.raises(ValueError, match="at least one member"):
         run_batch([])
