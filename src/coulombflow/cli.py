@@ -27,7 +27,7 @@ import numpy as np
 from coulombflow.config import ConfigError, load_config
 from coulombflow.csvio import format_cells, read_csv, write_csv
 from coulombflow.hj_fronts import FRONT_SYSTEMS
-from coulombflow.pde_solver import SolverError, run
+from coulombflow.pde_solver import SolverError, _grad_sup, run
 from coulombflow.rearrangement import rearrange, support_measure, support_threshold
 from coulombflow.suites import run_suite
 from coulombflow.svgplot import write_line_chart
@@ -177,23 +177,15 @@ def cmd_simulate(args) -> int:
     obs = traj.observables
     write_csv(
         os.path.join(out_dir, "observables.csv"),
-        ["t", "mass", "min", "max", "l1", "l2", "linf", "energy", "dissipation", "grad_sup"],
-        [
-            obs.t,
-            obs.mass,
-            obs.min,
-            obs.max,
-            obs.mass,
-            obs.l2,
-            obs.max,
-            obs.energy,
-            obs.cumulative_dissipation,
-            obs.grad_sup,
-        ],
+        ["t", "mass", "min", "max", "l2", "energy", "dissipation"],
+        [obs.t, obs.mass, obs.min, obs.max, obs.l2, obs.energy, obs.cumulative_dissipation],
     )
     theta = support_threshold(traj.snapshots[0][1])
     support = np.array([support_measure(f, theta) for _, f in traj.snapshots])
-    write_csv(os.path.join(out_dir, "support.csv"), ["t", "S"], [traj.times, support])
+    grad_sup = np.array([_grad_sup(grid, f.values) for _, f in traj.snapshots])
+    write_csv(
+        os.path.join(out_dir, "support.csv"), ["t", "S", "grad_sup"], [traj.times, support, grad_sup]
+    )
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(
             {

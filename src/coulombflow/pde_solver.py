@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 _DT_UNDERFLOW = 1e-14
+# Times this close are one time (output times merge, a step lands on an
+# output); t_end and every output time must be at least this large.
+_TIME_RESOLUTION = 1e-12
 _NEGATIVITY_GUARD = 1e-13
 # Field values run_batch holds before it reduces their observables.  Kept
 # small: a 1 MB budget, which joins two 2-D n = 256 states, made that grid's
@@ -68,10 +71,10 @@ class SolverConfig:
     """Parameters of one integration run, checked once when built.
 
     epsilon = "auto" resolves to the cell width h when the run starts.
-    Snapshots are taken at the output_times, each in (0, t_end], and at
-    t_end. The advective and viscous step bounds are each scaled by cfl and
-    the update is monotone only while they sum to at most 1, so a positive
-    viscosity ("auto" included, since h > 0) needs cfl <= 0.5; with
+    Snapshots are taken at the output_times, each in [1e-12, t_end], and at
+    t_end >= 1e-12.  The advective and viscous step bounds are each scaled by
+    cfl and the update is monotone only while they sum to at most 1, so a
+    positive viscosity ("auto" included, since h > 0) needs cfl <= 0.5; with
     epsilon = 0, cfl may go up to 1.  The rule that m < 1 needs a positive
     initial minimum is one of the data, which run_batch checks.
     """
@@ -92,15 +95,15 @@ class SolverConfig:
             raise ValueError(f"m must be positive and finite, got {self.m}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0 < self.t_end < np.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not _TIME_RESOLUTION <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and >= {_TIME_RESOLUTION:g}, got {self.t_end}")
         if not is_number(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         times = self.output_times
         if not isinstance(times, (list, tuple, np.ndarray)) or not all(
-            is_number(t) and 0 < t <= self.t_end for t in times
+            is_number(t) and _TIME_RESOLUTION <= t <= self.t_end for t in times
         ):
-            raise ValueError("output_times must be numbers in (0, t_end]")
+            raise ValueError(f"output_times must be numbers in [{_TIME_RESOLUTION:g}, t_end]")
         auto = self.epsilon == "auto"
         if not (auto or (is_number(self.epsilon) and 0 <= self.epsilon < np.inf)):
             raise ValueError(
@@ -116,9 +119,9 @@ class SolverConfig:
         """The snapshot times after t = 0: the distinct output times, ending at t_end."""
         outputs: list[float] = []
         for t in sorted(float(t) for t in self.output_times):
-            if not outputs or t - outputs[-1] > 1e-12:
+            if not outputs or t - outputs[-1] > _TIME_RESOLUTION:
                 outputs.append(t)
-        if not outputs or outputs[-1] < self.t_end - 1e-12:
+        if not outputs or outputs[-1] < self.t_end - _TIME_RESOLUTION:
             outputs.append(self.t_end)
         return outputs
 
@@ -133,10 +136,10 @@ class Observables:
 
     run_batch holds each recorded step's (B, n[, n]) state, B = 1 for a lone
     run, and reduces them along the grid axes after the step, in blocks of
-    steps and for all members at once.  numpy reduces each held state alone
-    and in the same order, so every value is bit-identical to one reduced at
-    its step.  Each member's rows stay in one flat array of doubles until the
-    run ends.
+    steps and for all members at once, a member's final row included.  numpy
+    reduces each held state alone and in the same order, so every value is
+    bit-identical to one reduced at its step.  Each member's rows stay in
+    one flat array of doubles until the run ends.
 
     cumulative_dissipation integrates only the transport dissipation, the
     integral of |drift|^2 u^m.  The viscous loss eps * ||u - ubar||^2_{L^2}
@@ -155,7 +158,6 @@ class Observables:
     l2: np.ndarray
     energy: np.ndarray
     cumulative_dissipation: np.ndarray
-    grad_sup: np.ndarray
 
 
 @dataclass
@@ -238,15 +240,19 @@ def _advective_speed_scale(values: np.ndarray, m: float) -> float:
 
     m * u_max^(m-1) for m >= 1 and m * u_min^(m-1) for m < 1, where the
     mobility is steepest at the smallest value (run_batch rejects m < 1
-    data whose minimum is not positive).
+    data whose minimum is not positive).  A power beyond the float range is
+    an infinite rate, which cfl_dt reports as a time step underflow.
     """
-    if m < 1.0:
-        umin = float(values.min())
-        return m * umin ** (m - 1.0) if umin > 0.0 else np.inf
-    umax = float(values.max())
-    if umax <= 0.0:
-        return 0.0 if m > 1 else np.inf
-    return m * umax ** (m - 1.0)
+    try:
+        if m < 1.0:
+            umin = float(values.min())
+            return m * umin ** (m - 1.0) if umin > 0.0 else np.inf
+        umax = float(values.max())
+        if umax <= 0.0:
+            return 0.0 if m > 1 else np.inf
+        return m * umax ** (m - 1.0)
+    except OverflowError:
+        return np.inf
 
 
 def cfl_dt(
@@ -402,14 +408,14 @@ def run_batch(
     every active member takes its own dt from cfl_dt and a member leaves the
     batch at its t_end.  The observables of the recorded steps are reduced
     along the grid axes after the step, in blocks of up to ~32 KB of held
-    field values, for all members at once; a state larger than that is
-    reduced alone, as it stands.  Each trajectory is bit-identical to the
-    member integrated alone, with each recorded step reduced on its own.
+    field values, for all members at once, those that have left included; a
+    larger state is reduced alone, as it stands.  Each trajectory is
+    bit-identical to the member integrated alone, each step reduced alone.
 
     Snapshots land exactly on the requested times (the step is clamped to the
     next output).  Observables are recorded every `record_every` steps and at
-    the final time; the dissipation integral accumulates every step with the
-    same left-endpoint rule as the Euler update.
+    the final time, once; the dissipation integral accumulates every step
+    with the same left-endpoint rule as the Euler update.
 
     `on_snapshot(i, t, field)`, if given, is called with each snapshot of
     member i as it is appended to that member's trajectory, t = 0 included:
@@ -451,9 +457,7 @@ def run_batch(
     if on_snapshot is not None:
         for i, member_snapshots in enumerate(snapshots):
             on_snapshot(i, *member_snapshots[0])
-    # Iterates stay nonnegative (u0 is checked and every update clamped at
-    # zero), so the L^1 norm is the mass and the L^inf norm is the max.  Each
-    # member's rows go flat into one array of doubles, in Observables order.
+    # Each member's rows go flat into one array of doubles, in Observables order.
     rows = [array("d") for _ in members]
     n_fields = len(fields(Observables))
 
@@ -463,7 +467,8 @@ def run_batch(
 
     # record() holds the due rows of a step's values and uhat, which are
     # fresh arrays never written again, with each row's member, t and
-    # dissipation; flush() reduces up to `block` held states at once.
+    # dissipation; flush() reduces up to `block` held states at once, also
+    # of members that have left the batch.
     held = []
     block = max(1, _RECORD_BLOCK_BYTES // values.nbytes)
 
@@ -492,11 +497,10 @@ def run_batch(
                 vals.max(axis=grid.axes),
                 np.sqrt((vals**2).sum(axis=grid.axes) * cm),
                 0.5 * mode_energy(grid, uhat),
-                _grad_sup(grid, vals),
             )
         ]
-        for (i, ti, diss), mass, umin, umax, l2, energy, gsup in zip(owners, *columns):
-            rows[i].extend((ti, mass, umin, umax, l2, energy, diss, gsup))
+        for (i, ti, diss), mass, umin, umax, l2, energy in zip(owners, *columns):
+            rows[i].extend((ti, mass, umin, umax, l2, energy, diss))
 
     every = [cfg.record_every for cfg in cfgs]
     stop = [cfg.t_end - 1e-13 for cfg in cfgs]
@@ -504,15 +508,11 @@ def run_batch(
     while True:
         uhat = half_spectrum(grid, values)
         faces = coulomb_drift(grid, uhat)
-        due = [r for r, i in enumerate(active) if step_idx % every[i] == 0]
+        done = [r for r, i in enumerate(active) if t[i] >= stop[i]]
+        due = [r for r, i in enumerate(active) if step_idx % every[i] == 0 or r in done]
         if due:
             record(due, uhat)
-        done = [r for r, i in enumerate(active) if t[i] >= stop[i]]
         if done:
-            flush()  # the late check reads each member's last row
-            late = [r for r in done if rows[active[r]][-n_fields] < t[active[r]] - 1e-15]
-            if late:
-                record(late, uhat)
             keep = [r for r in range(len(active)) if r not in done]
             if not keep:
                 break
@@ -548,7 +548,7 @@ def run_batch(
         for i, dt, dissipated, v in zip(active, dts, dissipation, values):
             cum_diss[i] += dt * dissipated * cm
             t[i] += dt
-            if abs(t[i] - outputs[i][out_idx[i]]) < 1e-12:
+            if abs(t[i] - outputs[i][out_idx[i]]) < _TIME_RESOLUTION:
                 t[i] = outputs[i][out_idx[i]]
                 field = ScalarField(grid, v.copy())
                 snapshots[i].append((t[i], field))

@@ -13,7 +13,7 @@ from coulombflow.cli import main
 from coulombflow.csvio import format_cells, read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
 from coulombflow.hj_fronts import integrate_supersolution
-from coulombflow.pde_solver import SolverConfig, run
+from coulombflow.pde_solver import SolverConfig, _grad_sup, run
 from coulombflow.rearrangement import rearrange
 from coulombflow.torus_field import ScalarField, TorusGrid
 
@@ -58,6 +58,15 @@ MALFORMED = [
     pytest.param("simulate", sim_doc("solver", t_end=None), "solver", "t_end", id="solver.t_end-null"),
     pytest.param(
         "simulate", sim_doc("solver", t_end=float("inf")), "solver", "t_end", id="solver.t_end-inf"
+    ),
+    # below the solver's time resolution, 1e-12
+    pytest.param(
+        "simulate", sim_doc("solver", t_end=5e-14, output_times=[]), "solver", "t_end",
+        id="solver.t_end-below-resolution",
+    ),
+    pytest.param(
+        "simulate", sim_doc("solver", output_times=[2e-309, 0.1]), "solver", "output_times",
+        id="solver.output_times-below-resolution",
     ),
     pytest.param(
         "simulate", sim_doc("solver", record_every=1.5), "solver", "record_every",
@@ -339,6 +348,24 @@ class TestConfigValidation:
         assert err.startswith("error: m < 1 requires a positive initial minimum, got 0.0")
         assert not glob.glob(str(out / "u_*")) and not glob.glob(str(out / "k_*"))
 
+    # the mobility slope m u^(m-1) overflows a float: u_max^2 = 1.21e400 at
+    # m = 3, and u_min^(m-1) ~ 1e320 at m = 0.01 with a subnormal minimum
+    @pytest.mark.parametrize(
+        "m, ic",
+        [
+            (3.0, {"kind": "cosine", "base": 1e200, "amplitudes": [1e199]}),
+            (0.01, {"kind": "from_file", "path": "ic.csv"}),
+        ],
+        ids=["m3-huge-data", "m0.01-subnormal-min"],
+    )
+    def test_overflowing_step_bound_exit_2(self, tmp_path, monkeypatch, capsys, m, ic):
+        (tmp_path / "ic.csv").write_text("\n".join(["1.0"] * 15 + ["5e-324"]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        doc = {"grid": {"dim": 1, "n": 16}, "solver": {"m": m, "t_end": 0.01}, "initial_condition": ic}
+        assert main(["simulate", "--config", write_config(tmp_path / "c.json", doc),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: time step underflow: dt = 0.000e+00\n"
+
     def test_bad_json_is_config_error(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -376,10 +403,8 @@ class TestSimulate:
         snapshots = [n for n in names if n.startswith("u_")]
         assert len(snapshots) == 6  # t = 0 plus five requested times
         header, cols = read_csv(out / "observables.csv")
-        assert header == [
-            "t", "mass", "min", "max", "l1", "l2", "linf",
-            "energy", "dissipation", "grad_sup",
-        ]
+        assert header == ["t", "mass", "min", "max", "l2", "energy", "dissipation"]
+        assert read_csv(out / "support.csv")[0] == ["t", "S", "grad_sup"]
         assert np.max(np.abs(cols["mass"] - cols["mass"][0])) <= 1e-11
         kheader, kcols = read_csv(out / "k_0.100000.csv")
         assert kheader == ["s", "u_star", "k"]
@@ -392,8 +417,21 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         _, cols = read_csv(out / "observables.csv")
-        for name in ("mass", "min", "max", "l1"):
+        for name in ("mass", "min", "max", "l2"):
             assert np.max(np.abs(cols[name] - 1.5)) < 1e-12
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+    def test_support_grad_sup_is_that_of_each_snapshot_file(self, tmp_path, dim, n):
+        cfg = write_config(tmp_path / "c.json", sim_doc("grid", dim=dim, n=n))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        grid = load_config(cfg).grid
+        _, cols = read_csv(out / "support.csv")
+        want = [
+            _grad_sup(grid, read_csv(out / f"u_{t:.6f}.csv")[1]["value"].reshape(grid.shape))
+            for t in cols["t"]
+        ]
+        assert len(want) == 6 and np.array_equal(cols["grad_sup"], want)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", SIM_DOC)

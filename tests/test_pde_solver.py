@@ -99,11 +99,18 @@ class TestCflDt:
             SolverConfig(**{"m": 1.0, "epsilon": 0.0, **{key: value}})
 
     @pytest.mark.parametrize(
-        "times", [[0.05, 2.0, -1.0], 0.05], ids=["times-outside", "times-scalar"]
+        "times", [[0.05, 2.0, -1.0], 0.05, [2e-309, 0.05]],
+        ids=["times-outside", "times-scalar", "times-below-resolution"],
     )
     def test_output_times_checked_when_built(self, times):
         with pytest.raises(ValueError, match="^output_times"):
             run(cosine(16), SolverConfig(m=1.0, t_end=0.1, output_times=times))
+
+    def test_t_end_below_time_resolution_rejected(self):
+        # t_end = 5e-14 used to end the run at t = 0, with no step and no t_end snapshot
+        with pytest.raises(ValueError, match="^t_end must be finite and >= 1e-12"):
+            SolverConfig(m=2.0, t_end=5e-14)
+        assert run(cosine(16), SolverConfig(m=2.0, t_end=1e-12)).times.tolist() == [0.0, 1e-12]
 
     def test_scheme_parameters_only(self):
         # the data's rules (m < 1 needs a positive minimum, the mollifier)
@@ -330,19 +337,16 @@ class TestRun:
         assert np.array_equal(obs.min, per_snapshot(lambda f: float(np.min(f.values))))
         assert np.array_equal(obs.max, per_snapshot(lambda f: float(np.max(f.values))))
         assert np.array_equal(obs.energy, per_snapshot(interaction_energy))
-        assert np.array_equal(
-            obs.grad_sup, per_snapshot(lambda f: pde_solver._grad_sup(g, f.values))
-        )
         np.testing.assert_allclose(
             obs.l2, per_snapshot(lambda f: lp_norm(f, 2)), rtol=1e-15, atol=0.0
         )
 
 
 def _run_reference(u0, cfg):
-    """run() with np.roll neighbours and eight reductions per recorded row.
+    """run() with np.roll neighbours and seven reductions per recorded row.
 
     Returns the (t, values) snapshots and one row per record:
-    t, mass, min, max, l1, l2, linf, energy, cumulative dissipation, grad sup.
+    t, mass, min, max, l1, l2, linf, energy, cumulative dissipation.
     """
     grid = u0.grid
     h, cm, m = grid.h, grid.cell_measure, cfg.m
@@ -363,9 +367,6 @@ def _run_reference(u0, cfg):
     rows = []
 
     def record(tnow, v, uhat):
-        gsq = np.zeros_like(v)
-        for a in range(grid.dim):
-            gsq += ((np.roll(v, -1, axis=a) - np.roll(v, 1, axis=a)) / (2.0 * h)) ** 2
         rows.append((
             tnow,
             float(np.sum(v)) * cm,
@@ -376,7 +377,6 @@ def _run_reference(u0, cfg):
             float(np.max(np.abs(v))),
             0.5 * mode_energy(grid, uhat),
             cum_diss,
-            float(np.sqrt(np.max(gsq))),
         ))
 
     out_idx, step_idx = 0, 0
@@ -449,7 +449,7 @@ def _assert_matches_reference(traj, want_snaps, want_rows):
     obs = traj.observables
     got_cols = [
         obs.t, obs.mass, obs.min, obs.max, obs.mass, obs.l2, obs.max,
-        obs.energy, obs.cumulative_dissipation, obs.grad_sup,
+        obs.energy, obs.cumulative_dissipation,
     ]
     assert len(got_cols) == want_rows.shape[1]
     for got, want in zip(got_cols, want_rows.T):
@@ -579,7 +579,7 @@ _BLOCK_CASES = {
         ],
         [13, 4],
     ),
-    # the second member records t = 0 and then only its late row at t_end
+    # the second member records t = 0 and then only its final row at t_end
     "late-row-only": (
         [
             (_wavy(1, 64), SolverConfig(m=2.0, t_end=0.1)),
