@@ -20,6 +20,7 @@ n = 8, m ~ 4.81 the max rises by about 0.1 within 7 steps.  ROADMAP item 2
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from array import array
 from dataclasses import dataclass, fields
@@ -63,7 +64,11 @@ _RECORD_BLOCK_BYTES = 32 * 1024
 
 
 class SolverError(RuntimeError):
-    pass
+    """A run that cannot go on; `member` is the batch row at fault, where known."""
+
+    def __init__(self, message: str, member: Optional[int] = None):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -235,19 +240,18 @@ def _laplacian(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     )
 
 
-def _advective_speed_scale(values: np.ndarray, m: float) -> float:
-    """Lipschitz constant of u -> u^m over the current values, entering the CFL.
+def _advective_speed_scale(m: float, umin: Optional[float], umax: Optional[float]) -> float:
+    """Lipschitz constant of u -> u^m between the values umin and umax, entering the CFL.
 
-    m * u_max^(m-1) for m >= 1 and m * u_min^(m-1) for m < 1, where the
+    m * umax^(m-1) for m >= 1 and m * umin^(m-1) for m < 1, where the
     mobility is steepest at the smallest value (run_batch rejects m < 1
-    data whose minimum is not positive).  A power beyond the float range is
-    an infinite rate, which cfl_dt reports as a time step underflow.
+    data whose minimum is not positive); the other bound is not read.  A
+    power beyond the float range is an infinite rate, which cfl_dt reports
+    as a time step underflow.
     """
     try:
         if m < 1.0:
-            umin = float(values.min())
             return m * umin ** (m - 1.0) if umin > 0.0 else np.inf
-        umax = float(values.max())
         if umax <= 0.0:
             return 0.0 if m > 1 else np.inf
         return m * umax ** (m - 1.0)
@@ -256,29 +260,56 @@ def _advective_speed_scale(values: np.ndarray, m: float) -> float:
 
 
 def cfl_dt(
-    u: ScalarField,
-    cfg: SolverConfig,
-    next_output_gap: Optional[float] = None,
+    u: Union[ScalarField, tuple[TorusGrid, np.ndarray]],
+    cfg: Union[SolverConfig, Sequence[SolverConfig]],
+    next_output_gap: Union[None, float, Sequence[Optional[float]]] = None,
     faces: Optional[tuple[np.ndarray, ...]] = None,
-) -> float:
-    """Stable explicit step: advective and viscous bounds, clamped to outputs."""
-    grid = u.grid
-    eps = cfg.epsilon_at(grid)
+) -> Union[float, list[float]]:
+    """Stable explicit step: advective and viscous bounds, clamped to outputs.
+
+    For one field u, a float.  For a batch, u = (grid, values) with values
+    of shape (B, *grid.shape), cfg and next_output_gap hold one entry per
+    member (a gap may be None) and the result one float per member; a field
+    is the B = 1 batch.  faces, the drift of values (with or without the
+    batch axis for one field), is computed when not given.  Each member's
+    |drift| max and value extremes are reduced along the grid axes for all
+    members at once, which is exact, so every dt is the one its field alone
+    gets.  A SolverError carries the failing member's row as `member`.
+    """
+    one = isinstance(u, ScalarField)
+    if one:
+        grid, values = u.grid, u.values[None]
+        cfgs, gaps = [cfg], [next_output_gap]
+        if faces is not None:
+            faces = tuple(w if w.ndim > grid.dim else w[None] for w in faces)
+    else:
+        (grid, values), cfgs, gaps = u, cfg, next_output_gap
     if faces is None:
-        faces = coulomb_drift(grid, half_spectrum(grid, u.values))
-    vmax = max(float(np.abs(w).max()) for w in faces)
-    speed = _advective_speed_scale(u.values, cfg.m)
-    rate = grid.dim * vmax * speed
-    dt = cfg.cfl * grid.h / rate if rate > 0.0 else np.inf
-    if eps > 0.0:
-        dt = min(dt, cfg.cfl * grid.h**2 / (2.0 * grid.dim * eps))
-    if next_output_gap is not None:
-        dt = min(dt, next_output_gap)
-    if not np.isfinite(dt):
-        raise SolverError("time step unbounded: provide an output-time gap")
-    if dt < _DT_UNDERFLOW:
-        raise SolverError(f"time step underflow: dt = {dt:.3e}")
-    return float(dt)
+        faces = coulomb_drift(grid, half_spectrum(grid, values))
+    vmaxes = np.abs(faces[0]).max(axis=grid.axes).tolist()
+    for w in faces[1:]:
+        # Python's max over the axes in order, as one field takes it
+        vmaxes = [max(a, b) for a, b in zip(vmaxes, np.abs(w).max(axis=grid.axes).tolist())]
+    # Only the extreme some member's mobility reads is reduced at all.
+    ms = [c.m for c in cfgs]
+    lows = values.min(axis=grid.axes).tolist() if min(ms) < 1.0 else [None] * len(ms)
+    highs = values.max(axis=grid.axes).tolist() if max(ms) >= 1.0 else [None] * len(ms)
+    h, dim = grid.h, grid.dim
+    dts = []
+    for r, (c, gap, vmax, umin, umax) in enumerate(zip(cfgs, gaps, vmaxes, lows, highs)):
+        eps = c.epsilon_at(grid)
+        rate = dim * vmax * _advective_speed_scale(c.m, umin, umax)
+        dt = c.cfl * h / rate if rate > 0.0 else np.inf
+        if eps > 0.0:
+            dt = min(dt, c.cfl * h**2 / (2.0 * dim * eps))
+        if gap is not None:
+            dt = min(dt, gap)
+        if not math.isfinite(dt):
+            raise SolverError("time step unbounded: provide an output-time gap", member=r)
+        if dt < _DT_UNDERFLOW:
+            raise SolverError(f"time step underflow: dt = {dt:.3e}", member=r)
+        dts.append(float(dt))
+    return dts[0] if one else dts
 
 
 def _per_member(values: list[float], grid: TorusGrid) -> Union[float, np.ndarray]:
@@ -352,7 +383,7 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
         return u  # constants are exact steady states for any dt
     values = u.values[None]
     faces = coulomb_drift(grid, half_spectrum(grid, values))
-    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=tuple(w[0] for w in faces))
+    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
     mob = _mobility(values, cfg.m)
@@ -405,12 +436,13 @@ def run_batch(
     The members share a grid and step together in one forward-Euler kernel
     over a (B, *grid.shape) array, B = 1 for a lone run; everything else is
     their own: m, eps, cfl, t_end, output times and record_every.  Each step
-    every active member takes its own dt from cfl_dt and a member leaves the
-    batch at its t_end.  The observables of the recorded steps are reduced
-    along the grid axes after the step, in blocks of up to ~32 KB of held
-    field values, for all members at once, those that have left included; a
-    larger state is reduced alone, as it stands.  Each trajectory is
-    bit-identical to the member integrated alone, each step reduced alone.
+    makes one cfl_dt call, which gives every active member its own dt, and
+    a member leaves the batch at its t_end.  The observables of the
+    recorded steps are reduced along the grid axes after the step, in
+    blocks of up to ~32 KB of held field values, for all members at once,
+    those that have left included; a larger state is reduced alone, as it
+    stands.  Each trajectory is bit-identical to the member integrated
+    alone, each step reduced alone.
 
     Snapshots land exactly on the requested times (the step is clamped to the
     next output).  Observables are recorded every `record_every` steps and at
@@ -518,13 +550,11 @@ def run_batch(
                 break
             active = [active[r] for r in keep]
             values, faces = values[keep], tuple(w[keep] for w in faces)
-        dts = []
-        for i, v, member_faces in zip(active, values, zip(*faces)):
-            gap = outputs[i][out_idx[i]] - t[i]
-            try:
-                dts.append(cfl_dt(ScalarField(grid, v), cfgs[i], gap, member_faces))
-            except SolverError as exc:
-                fail(i, str(exc))
+        gaps = [outputs[i][out_idx[i]] - t[i] for i in active]
+        try:
+            dts = cfl_dt((grid, values), [cfgs[i] for i in active], gaps, faces)
+        except SolverError as exc:
+            fail(active[exc.member], str(exc))
         # Each member's exponent stays a Python float: np.power has fast
         # paths for a scalar exponent (square, sqrt) that an array one skips.
         # Mixed m raise each row of one clamped copy in place, as _mobility

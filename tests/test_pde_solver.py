@@ -621,6 +621,88 @@ def test_run_batch_error_names_the_member():
         run_batch([(cosine(64), cfg), (cosine(64), cfg), (cosine(64), steep)])
 
 
+def _reference_dt(grid, values, faces, cfg, gap):
+    """One member's step bound in scalar arithmetic, from its own field and faces."""
+    eps = grid.h if cfg.epsilon == "auto" else float(cfg.epsilon)
+    vmax = max(float(np.abs(w).max()) for w in faces)
+    u = float(values.min()) if cfg.m < 1 else float(values.max())
+    rate = grid.dim * vmax * (cfg.m * u ** (cfg.m - 1.0))
+    dt = cfg.cfl * grid.h / rate if rate > 0.0 else np.inf
+    if eps > 0.0:
+        dt = min(dt, cfg.cfl * grid.h**2 / (2.0 * grid.dim * eps))
+    return dt if gap is None else min(dt, gap)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batch_bound_matches_per_member_reference(dim):
+    # every (m, eps, cfl, gap) combination is one member of one mixed batch
+    grid = make_grid(dim, 16)
+    rng = np.random.default_rng(dim)
+    cfgs, gaps = [], []
+    for m in (0.5, 1.0, 2.0, 4.0):
+        for eps in (0.0, "auto", 0.01):
+            for cfl in (0.2, 0.5):
+                for gap in (None, float(rng.uniform(1e-4, 2e-2))):
+                    cfgs.append(SolverConfig(m=m, epsilon=eps, cfl=cfl))
+                    gaps.append(gap)
+    values = 0.2 + rng.uniform(0.0, 2.0, size=(len(cfgs),) + grid.shape)
+    faces = coulomb_drift(grid, np.fft.rfftn(values, axes=grid.axes))
+    got = cfl_dt((grid, values), cfgs, gaps, faces)
+    want = [
+        _reference_dt(grid, v, [w[r] for w in faces], cfg, gap)
+        for r, (v, cfg, gap) in enumerate(zip(values, cfgs, gaps))
+    ]
+    assert got == want
+    # the gap and the viscous bound each set some member's dt, the advective
+    # bound every eps = 0 member's without a gap
+    viscous = [cfg.cfl * grid.h**2 / (2 * dim * cfg.epsilon_at(grid)) for cfg in cfgs
+               if cfg.epsilon != 0.0]
+    assert any(dt == gap for dt, gap in zip(got, gaps)) and set(got) & set(viscous)
+    # one field is the batch of one
+    for r in range(0, len(cfgs), 7):
+        assert cfl_dt(ScalarField(grid, values[r]), cfgs[r], gaps[r]) == want[r]
+
+
+def test_batch_bound_error_carries_the_row():
+    grid = cosine(64).grid
+    values = np.stack([cosine(64).values] * 3)
+    cfgs = [SolverConfig(m=1.0), SolverConfig(m=300.0), SolverConfig(m=1.0)]
+    with pytest.raises(SolverError, match="^time step underflow") as alone:
+        cfl_dt(ScalarField(grid, values[1]), cfgs[1], 0.1)
+    with pytest.raises(SolverError) as caught:
+        cfl_dt((grid, values), cfgs, [0.1] * 3)
+    assert str(caught.value) == str(alone.value) and caught.value.member == 1
+
+
+def test_one_bound_call_per_step_and_no_field_but_snapshots(monkeypatch):
+    calls, built = [], []
+    real = pde_solver.cfl_dt
+    monkeypatch.setattr(pde_solver, "cfl_dt", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    class CountedField(ScalarField):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(pde_solver, "ScalarField", CountedField)
+    # record_every = 1 records every step and the final time once: steps = rows - 1
+    traj = run(cosine(64), SolverConfig(m=2.0, t_end=0.05, output_times=[0.02]))
+    steps = len(traj.observables.t) - 1
+    assert steps > 5 and len(calls) == steps
+    assert len(built) == len(traj.snapshots)
+
+    calls.clear()
+    built.clear()
+    batch = run_batch([
+        (cosine(64), SolverConfig(m=m, t_end=t_end))
+        for m, t_end in ((2.0, 0.05), (1.0, 0.02), (0.5, 0.08))
+    ])
+    member_steps = [len(traj.observables.t) - 1 for traj in batch]
+    assert len(set(member_steps)) == 3
+    assert len(calls) == max(member_steps) < sum(member_steps)
+    assert len(built) == sum(len(traj.snapshots) for traj in batch)
+
+
 @pytest.mark.parametrize("members", [_batch_members_1d(), _batch_members_2d()], ids=["d1", "d2"])
 def test_snapshot_hook_sees_each_snapshot_as_it_lands(members, monkeypatch):
     # one drift per loop pass: the count is the number of steps taken so far
