@@ -617,12 +617,15 @@ def _bump(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_bump_bank(grid: TorusGrid, t0: float, t1: float) -> Callable[[float], np.ndarray]:
-    """Fixed reproducible bank of 16 space-time test bumps, profiles built once.
+def _bump_bank_parts(
+    grid: TorusGrid, t0: float, t1: float
+) -> tuple[Callable[[np.ndarray], np.ndarray], list[np.ndarray]]:
+    """The bump bank's temporal amplitudes and per-axis spatial factors.
 
-    Two time centers, four x centers and two widths (4h and 8h), in that
-    order; temporal half-width 0.3 of the window, vanishing at both window
-    ends.  Returns t -> the (16, *grid.shape) array of (amp(t) * b_x1) * b_x2.
+    The one definition that default_bump_bank and entropy_residual read.
+    Returns the amplitudes, t -> the (*t.shape, 2) array of both temporal
+    bumps at each time in t, and one (8, *grid.shape) array b_x per axis,
+    (x center, width) in bank order.
     """
     span = t1 - t0
     t_centers = np.array([t0 + 0.35 * span, t0 + 0.65 * span])
@@ -632,14 +635,29 @@ def default_bump_bank(grid: TorusGrid, t0: float, t1: float) -> Callable[[float]
     else:
         x_centers = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
     coords = grid.coordinates()
-    factors = []  # one (8, *grid.shape) b_x per axis, (x center, width) in bank order
+    factors = []
     for axis in range(grid.dim):
         d = [coords[axis] - xc[axis] for xc in x_centers]
         d = [di - np.round(di) for di in d]  # periodic distance
         factors.append(np.array([_bump(di / w) for di in d for w in (4.0 * grid.h, 8.0 * grid.h)]))
 
+    def amplitudes(t: np.ndarray) -> np.ndarray:
+        return _bump((np.asarray(t)[..., None] - t_centers) / wt)
+
+    return amplitudes, factors
+
+
+def default_bump_bank(grid: TorusGrid, t0: float, t1: float) -> Callable[[float], np.ndarray]:
+    """Fixed reproducible bank of 16 space-time test bumps, profiles built once.
+
+    Two time centers, four x centers and two widths (4h and 8h), in that
+    order; temporal half-width 0.3 of the window, vanishing at both window
+    ends.  Returns t -> the (16, *grid.shape) array of (amp(t) * b_x1) * b_x2.
+    """
+    amplitudes, factors = _bump_bank_parts(grid, t0, t1)
+
     def bank(t: float) -> np.ndarray:
-        out = _bump((t - t_centers) / wt).reshape((-1, 1) + (1,) * grid.dim)
+        out = amplitudes(t).reshape((-1, 1) + (1,) * grid.dim)
         for f in factors:
             out = out * f
         return out.reshape((-1,) + grid.shape)
@@ -667,47 +685,66 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
     entropy flux against face differences of phi, centered Laplacian), so at
     kappa = 0 the residual telescopes to roundoff for trajectories recorded
     at every step.  Nonnegative values mean compliant dissipation.
+
+    m and eps are the trajectory's; a cfg whose m differs is a ValueError.
+
+    Each bump is separable, phi = a_c(t) F_j(x), with 2 temporal amplitudes
+    a_c and 8 spatial profiles F_j, and every pairing is linear in phi.  So
+    F, its forward face difference per axis and, when eps > 0, its
+    Laplacian are built once per call, and both amplitudes are evaluated at
+    every snapshot time at once.  Per snapshot only the drift and the kappa
+    terms (eta, the upwinded q * drift per axis, z) are built, each a
+    (K, N) array contracted against the 8 profiles as one (K, N) @ (N, 8)
+    product.  Those products are weighted by a_c(t_{n+1}) - a_c(t_n) (the
+    eta term) and dt_n * a_c(t_{n+1}) (the rest) and summed over snapshots.
     """
     snaps = traj.snapshots
     if len(snaps) < 3:
         raise ValueError("entropy_residual needs at least 3 snapshots")
+    if cfg.m != traj.m:
+        raise ValueError(
+            f"entropy_residual: cfg.m = {cfg.m} differs from the trajectory's m = {traj.m}"
+        )
     times = traj.times
     dts = np.diff(times)
     if np.max(dts) - np.min(dts) > 1e-9 * np.max(dts):
         raise ValueError("entropy_residual needs uniformly spaced snapshots")
     grid = traj.grid
-    cm = grid.cell_measure
-    m = cfg.m
+    m = traj.m
+    eps = traj.epsilon
     ubar = mean(snaps[0][1])
-    bank = default_bump_bank(grid, times[0], times[-1])
+    amplitudes, factors = _bump_bank_parts(grid, times[0], times[-1])
+
+    def flat(fields: np.ndarray) -> np.ndarray:
+        return fields.reshape(len(fields), -1)
+
+    profiles = functools.reduce(np.multiply, factors)
+    prof = flat(profiles).T
+    dprof = [flat(_next(profiles, axis) - profiles).T / grid.h for axis in grid.axes]
+    lprof = flat(_laplacian(grid, profiles)).T * eps if eps > 0.0 else None
 
     kap = np.asarray(kappas, dtype=float).reshape((-1,) + (1,) * grid.dim)
     km = kap**m
-    eps = traj.epsilon
-
-    def stack(fields: np.ndarray) -> np.ndarray:
-        return fields.reshape(len(fields), -1)
-
-    # Kappa-dependent terms are (K, N) arrays and bump-dependent ones (B, N),
-    # so each pairing of the weak form is one (K, N) @ (N, B) product.
-    p_now = bank(times[0])
-    totals = np.zeros((len(kappas), len(p_now)))
+    amps = amplitudes(times)
+    # weights[n] @ pairs sends snapshot n's pairings with the profiles, eta's
+    # (pairs[0]) and those of the flux, z and viscous terms (pairs[1]), to
+    # both amplitudes: by a(t_{n+1}) - a(t_n) and by dt_n * a(t_{n+1}).
+    weights = np.stack((amps[1:] - amps[:-1], dts[:, None] * amps[1:]), axis=-1)
+    pairs = np.empty((2, len(kap), len(profiles)))
+    totals = np.zeros((2, pairs[0].size))
     for n in range(len(snaps) - 1):
         u = snaps[n][1].values
-        dt = dts[n]
         faces = coulomb_drift(grid, half_spectrum(grid, u))
-        p_next = bank(times[n + 1])
-        eta = np.abs(u - kap)
-        sgn = np.sign(u - kap)
+        gap = u - kap
+        eta = np.abs(gap)
+        sgn = np.sign(gap)
         q = sgn * (_mobility(u, m) - km)
         z = -sgn * km * (u - ubar)
-        totals += (stack(eta) @ stack(p_next - p_now).T) * cm
-        for axis, w in zip(grid.axes, faces):
-            flux = _upwind_face_values(q, w, axis) * w
-            dphi = (_next(p_next, axis) - p_next) / grid.h
-            totals -= dt * (stack(flux) @ stack(dphi).T) * cm
-        totals += dt * (stack(z) @ stack(p_next).T) * cm
-        if eps > 0.0:
-            totals += dt * eps * (stack(eta) @ stack(_laplacian(grid, p_next)).T) * cm
-        p_now = p_next
-    return float(np.min(totals))
+        pairs[0] = flat(eta) @ prof
+        pairs[1] = flat(z) @ prof
+        for axis, w, dp in zip(grid.axes, faces, dprof):
+            pairs[1] -= flat(_upwind_face_values(q, w, axis) * w) @ dp
+        if lprof is not None:
+            pairs[1] += flat(eta) @ lprof
+        totals += weights[n] @ pairs.reshape(2, -1)
+    return float(np.min(totals)) * grid.cell_measure

@@ -1,7 +1,8 @@
 """Shared simulation fixtures; expensive runs are computed once per session.
 
 The scenarios the `verify` suites also check come from the builders in
-coulombflow.suites; only the test-only runs are configured here.
+coulombflow.suites; only the test-only runs are configured here, beside the
+per-pair reference of the entropy residual that two test files compare with.
 """
 
 import contextlib
@@ -11,10 +12,10 @@ import os
 import numpy as np
 import pytest
 
-from coulombflow import suites
+from coulombflow import pde_solver, suites
 from coulombflow.cli import main
 from coulombflow.pde_solver import SolverConfig, run
-from coulombflow.torus_field import ScalarField, make_grid
+from coulombflow.torus_field import ScalarField, coulomb_drift, make_grid, mean
 
 ACCEPTANCE_MS = (0.5, 1.0, 2.0, 4.0)
 VERIFY_SMALL = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "verify_small.json")
@@ -24,6 +25,48 @@ def cosine_field(n, base=1.0, amp=0.5):
     grid = make_grid(1, n)
     x = grid.axis_coordinates()
     return ScalarField(grid, base + amp * np.cos(2 * np.pi * x))
+
+
+def entropy_residual_reference(traj, cfg, kappas):
+    """entropy_residual as one weak-form sum per (snapshot, kappa, bump)."""
+    snaps = traj.snapshots
+    times = traj.times
+    dts = np.diff(times)
+    grid = traj.grid
+    cm = grid.cell_measure
+    m = cfg.m
+    ubar = mean(snaps[0][1])
+    bank = pde_solver.default_bump_bank(grid, times[0], times[-1])
+    phi_vals = [bank(t) for t in times]
+    totals = np.zeros((len(kappas), len(phi_vals[0])))
+    for n in range(len(snaps) - 1):
+        u = snaps[n][1].values
+        dt = dts[n]
+        faces = coulomb_drift(grid, np.fft.rfftn(u))
+        for k, kappa in enumerate(kappas):
+            km = kappa**m
+            eta = np.abs(u - kappa)
+            sgn = np.sign(u - kappa)
+            q = sgn * (np.power(np.maximum(u, 0.0), m) - km)
+            z = -sgn * km * (u - ubar)
+            for b in range(len(phi_vals[0])):
+                p_now = phi_vals[n][b]
+                p_next = phi_vals[n + 1][b]
+                total = float(np.sum(eta * (p_next - p_now))) * cm
+                for axis, w in enumerate(faces):
+                    q_up = np.where(w > 0.0, np.roll(q, -1, axis=axis), q)
+                    dphi = (np.roll(p_next, -1, axis=axis) - p_next) / grid.h
+                    total -= dt * float(np.sum(q_up * w * dphi)) * cm
+                total += dt * float(np.sum(z * p_next)) * cm
+                if traj.epsilon > 0.0:
+                    lap = np.zeros_like(p_next)
+                    for a in range(grid.dim):
+                        lap += (
+                            np.roll(p_next, -1, axis=a) - 2.0 * p_next + np.roll(p_next, 1, axis=a)
+                        ) / grid.h**2
+                    total += dt * traj.epsilon * float(np.sum(eta * lap)) * cm
+                totals[k, b] += total
+    return float(np.min(totals))
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,8 @@ from coulombflow.torus_field import (
     mollify,
 )
 
+from conftest import entropy_residual_reference
+
 
 def cosine(n, base=1.0, amp=0.5):
     g = make_grid(1, n)
@@ -803,48 +805,6 @@ class TestGradSup:
         assert np.max(vals) >= 5.0 * vals[0]
 
 
-def _entropy_residual_reference(traj, cfg, kappas):
-    """entropy_residual as one weak-form sum per (snapshot, kappa, bump)."""
-    snaps = traj.snapshots
-    times = traj.times
-    dts = np.diff(times)
-    grid = traj.grid
-    cm = grid.cell_measure
-    m = cfg.m
-    ubar = mean(snaps[0][1])
-    bank = pde_solver.default_bump_bank(grid, times[0], times[-1])
-    phi_vals = [bank(t) for t in times]
-    totals = np.zeros((len(kappas), len(phi_vals[0])))
-    for n in range(len(snaps) - 1):
-        u = snaps[n][1].values
-        dt = dts[n]
-        faces = coulomb_drift(grid, np.fft.rfftn(u))
-        for k, kappa in enumerate(kappas):
-            km = kappa**m
-            eta = np.abs(u - kappa)
-            sgn = np.sign(u - kappa)
-            q = sgn * (np.power(np.maximum(u, 0.0), m) - km)
-            z = -sgn * km * (u - ubar)
-            for b in range(len(phi_vals[0])):
-                p_now = phi_vals[n][b]
-                p_next = phi_vals[n + 1][b]
-                total = float(np.sum(eta * (p_next - p_now))) * cm
-                for axis, w in enumerate(faces):
-                    q_up = np.where(w > 0.0, np.roll(q, -1, axis=axis), q)
-                    dphi = (np.roll(p_next, -1, axis=axis) - p_next) / grid.h
-                    total -= dt * float(np.sum(q_up * w * dphi)) * cm
-                total += dt * float(np.sum(z * p_next)) * cm
-                if traj.epsilon > 0.0:
-                    lap = np.zeros_like(p_next)
-                    for a in range(grid.dim):
-                        lap += (
-                            np.roll(p_next, -1, axis=a) - 2.0 * p_next + np.roll(p_next, 1, axis=a)
-                        ) / grid.h**2
-                    total += dt * traj.epsilon * float(np.sum(eta * lap)) * cm
-                totals[k, b] += total
-    return float(np.min(totals))
-
-
 def _closure_bump_bank(grid, t0, t1):
     """The bump bank as one closure per bump, rebuilding its profile per call."""
     span = t1 - t0
@@ -917,7 +877,10 @@ class TestEntropyResidual:
         entropy_residual(traj, cfg, kappas=[0.0, 0.7, 2.0])
         assert len(calls) == len(traj.snapshots) - 1
 
-    @pytest.mark.parametrize("dim, n, eps", [(1, 64, "auto"), (1, 64, 0.0), (2, 16, "auto")])
+    @pytest.mark.parametrize(
+        "dim, n, eps",
+        [(1, 64, "auto"), (1, 64, 0.0), (2, 16, "auto"), (2, 16, 0.0), (1, 33, "auto")],
+    )
     def test_matches_per_pair_loop(self, dim, n, eps):
         g = make_grid(dim, n)
         coords = g.coordinates()
@@ -927,7 +890,7 @@ class TestEntropyResidual:
         traj, cfg = dense_uniform_run(ScalarField(g, values), 2.0, 0.05, eps=eps)
         kappas = [0.0, 0.7, 2.0]
         got = entropy_residual(traj, cfg, kappas)
-        want = _entropy_residual_reference(traj, cfg, kappas)
+        want = entropy_residual_reference(traj, cfg, kappas)
         assert abs(got - want) <= 1e-14
 
     @pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 16), (2, 32)])
@@ -940,6 +903,11 @@ class TestEntropyResidual:
             got = bank(t)
             assert got.shape == (16,) + g.shape
             assert np.array_equal(got, np.array([phi(t) for phi in reference]))
+
+    def test_cfg_m_must_be_the_trajectorys(self):
+        traj, cfg = dense_uniform_run(cosine(64), 2.0, 0.05)
+        with pytest.raises(ValueError, match=r"cfg\.m = 1\.5 .* m = 2\.0"):
+            entropy_residual(traj, dataclasses.replace(cfg, m=1.5), kappas=[0.0, 0.7])
 
     def test_needs_enough_snapshots(self):
         traj = run(cosine(64), SolverConfig(m=1.0, t_end=0.1, output_times=[0.1]))
