@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -104,7 +105,7 @@ def _mollify_width(ic: dict, grid: TorusGrid) -> float:
     mol = ic["mollify"]
     if mol == "off":
         return 0.0
-    if not (is_number(mol) and 0 <= mol < math.inf):
+    if not (is_number(mol) and 0 <= mol <= sys.float_info.max):
         raise ConfigError(
             f"initial_condition.mollify must be 'off' or a finite number >= 0, got {mol!r}"
         )

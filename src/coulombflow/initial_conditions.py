@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from coulombflow.torus_field import ScalarField, TorusGrid, is_number
@@ -60,7 +62,8 @@ def _power_edge(
 
     1-D: c * (1 - |x - center| / (s0/2))_+^exponent on an interval of measure
     s0.  2-D: the cone analogue on a disc of area s0 (same edge exponent in
-    the mass coordinate near s0).
+    the mass coordinate near s0).  An s0 whose support radius, s0/2 or
+    sqrt(s0/pi), rounds to 0 is rejected.
     """
     if not 0 < s0 < 1:
         raise ValueError("power_edge support measure s0 must lie in (0, 1)")
@@ -68,17 +71,22 @@ def _power_edge(
         raise ValueError("power_edge needs c > 0 and exponent > 0")
     coords = grid.coordinates()
     if grid.dim == 1:
-        d = np.abs(coords[0] - center)
-        d = np.minimum(d, 1.0 - d)
-        prof = 1.0 - d / (s0 / 2.0)
+        radius = s0 / 2.0
+        dist = np.abs(coords[0] - center)
+        dist = np.minimum(dist, 1.0 - dist)
     else:
-        r0 = np.sqrt(s0 / np.pi)
+        radius = np.sqrt(s0 / np.pi)
         d1 = np.abs(coords[0] - center)
         d1 = np.minimum(d1, 1.0 - d1)
         d2 = np.abs(coords[1] - center)
         d2 = np.minimum(d2, 1.0 - d2)
-        prof = 1.0 - np.sqrt(d1**2 + d2**2) / r0
-    return c * np.maximum(prof, 0.0) ** exponent
+        dist = np.sqrt(d1**2 + d2**2)
+    if radius == 0.0:
+        raise ValueError(
+            f"initial_condition.s0 = {s0!r} is too small: the support's radius rounds to 0"
+        )
+    # clipped at the radius, the distance over the radius cannot overflow
+    return c * (1.0 - np.minimum(dist, radius) / radius) ** exponent
 
 
 def _from_file(grid: TorusGrid, path: str) -> np.ndarray:
@@ -110,16 +118,20 @@ _NUMERIC = {
     "value": 0, "base": 0, "c": 0, "s0": 0, "exponent": 0, "center": 0,
     "amplitudes": 1, "blocks": 2,
 }
-_NUMERIC_NAMES = ("a number", "a list of numbers", "a list of number lists")
+_NUMERIC_NAMES = (
+    "a finite number", "a list of finite numbers", "a list of finite-number lists"
+)
 
 
 def _holds_numbers(value, depth: int) -> bool:
-    """Whether value is a number (depth 0) or a list of such values nested depth deep.
+    """Whether value is a finite number (depth 0) or a list of such values nested depth deep.
 
-    A JSON boolean is not a number (`is_number`).
+    A JSON boolean is not a number (`is_number`).  Finite means within the
+    float range, which rejects NaN, the infinities and integers too large
+    for a float.
     """
     if depth == 0:
-        return is_number(value)
+        return is_number(value) and abs(value) <= sys.float_info.max
     return isinstance(value, (list, tuple)) and all(_holds_numbers(v, depth - 1) for v in value)
 
 
@@ -127,8 +139,9 @@ def build_initial_condition(grid: TorusGrid, params: dict) -> ScalarField:
     """Construct the initial field from a config dictionary: `kind` and its keys.
 
     A missing required key raises KeyError naming it; a key the kind does not
-    use, an unknown kind, or a numeric key that holds anything but numbers
-    (a JSON boolean included) raises ValueError naming it.
+    use, an unknown kind, or a numeric key that holds anything but finite
+    numbers (a JSON boolean, NaN or an infinity included) raises ValueError
+    naming it.
     """
     kind = params.get("kind")
     if not (isinstance(kind, str) and kind in KINDS):

@@ -183,61 +183,80 @@ class Trajectory:
         return np.array([t for t, _ in self.snapshots])
 
 
+@dataclass(frozen=True)
+class _Stencil:
+    """What the stencil stages read of a grid, bound once per run or call.
+
+    neighbours holds, per trailing grid axis, (axis, next, prev): two pairs
+    of index tuples (head, tail) whose pieces, joined along axis, are
+    np.roll(values, -1, axis), the + neighbour, and np.roll(values, 1,
+    axis), the - neighbour.  The pieces index from the end, so the leading
+    axes of a batch pass through.
+    """
+
+    grid: TorusGrid
+    h: float
+    h2: float
+    neighbours: tuple[tuple[int, tuple[tuple, tuple], tuple[tuple, tuple]], ...]
+
+
 @functools.lru_cache(maxsize=None)
-def _roll_pieces(ndim: int, axis: int, shift: int) -> tuple[tuple, tuple]:
-    """Index tuples of the two pieces np.roll(values, shift, axis) joins."""
-    lead = (slice(None),) * (axis % ndim)
-    return lead + (slice(-shift, None),), lead + (slice(None, -shift),)
+def _stencil(grid: TorusGrid) -> _Stencil:
+    """The grid's stencil, built once per grid."""
+    neighbours = []
+    for axis in grid.axes:
+        after = (slice(None),) * (-axis - 1)
+        neighbours.append((
+            axis,
+            ((..., slice(1, None)) + after, (..., slice(None, 1)) + after),
+            ((..., slice(-1, None)) + after, (..., slice(None, -1)) + after),
+        ))
+    return _Stencil(grid, grid.h, grid.h**2, tuple(neighbours))
 
 
-def _next(values: np.ndarray, axis: int) -> np.ndarray:
-    """Periodic + neighbour along `axis`: np.roll(values, -1, axis) by slicing."""
-    head, tail = _roll_pieces(values.ndim, axis, -1)
-    return np.concatenate((values[head], values[tail]), axis)
-
-
-def _prev(values: np.ndarray, axis: int) -> np.ndarray:
-    """Periodic - neighbour along `axis`: np.roll(values, 1, axis) by slicing."""
-    head, tail = _roll_pieces(values.ndim, axis, 1)
-    return np.concatenate((values[head], values[tail]), axis)
-
-
-def _axis_sum(terms) -> np.ndarray:
-    """Sum of per-axis arrays, starting from the first (no zero accumulator)."""
-    return functools.reduce(np.add, terms)
-
-
-def _upwind_face_values(values: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+def _upwind_face_values(values: np.ndarray, w: np.ndarray, neighbour) -> np.ndarray:
     """Donor-cell value at each +side face: the neighbor when w > 0, else self.
 
-    The mass velocity is opposite in sign to the potential gradient, so a
-    positive face drift means mass flows from the + neighbor into this cell.
+    neighbour is the face axis's entry of `_Stencil.neighbours`.  The mass
+    velocity is opposite in sign to the potential gradient, so a positive
+    face drift means mass flows from the + neighbor into this cell.
     """
-    return np.where(w > 0.0, _next(values, axis), values)
+    axis, (head, tail), _ = neighbour
+    return np.where(w > 0.0, np.concatenate((values[head], values[tail]), axis), values)
 
 
 def _mobility(values: np.ndarray, m: float) -> np.ndarray:
     return np.power(np.maximum(values, 0.0), m)
 
 
-def _divergence_flux(
-    grid: TorusGrid, mob: np.ndarray, faces: tuple[np.ndarray, ...]
-) -> np.ndarray:
+def _divergence_flux(st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
     """div_h of the upwinded flux u^m * drift, cellwise, from the mobility u^m.
 
     Upwinding the mobility is upwinding the value: u -> u^m acts per cell.
-    Works over the trailing grid axes; leading axes are a batch.
+    Works over the trailing grid axes; leading axes are a batch.  The axes'
+    terms are summed in order, starting from the first (no zero
+    accumulator), as are those of the other stages.
     """
-    fluxes = (w * _upwind_face_values(mob, w, axis) for axis, w in zip(grid.axes, faces))
-    return _axis_sum((g - _prev(g, axis)) / grid.h for axis, g in zip(grid.axes, fluxes))
+    div = None
+    for neighbour, w in zip(st.neighbours, faces):
+        g = w * _upwind_face_values(mob, w, neighbour)
+        axis, _, (head, tail) = neighbour
+        term = (g - np.concatenate((g[head], g[tail]), axis)) / st.h
+        div = term if div is None else div + term
+    return div
 
 
-def _laplacian(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+def _laplacian(st: _Stencil, values: np.ndarray) -> np.ndarray:
     """Centered Laplacian over the trailing grid axes; leading axes are a batch."""
-    return _axis_sum(
-        (_next(values, axis) - 2.0 * values + _prev(values, axis)) / grid.h**2
-        for axis in grid.axes
-    )
+    lap = None
+    for axis, (nhead, ntail), (phead, ptail) in st.neighbours:
+        term = (
+            np.concatenate((values[nhead], values[ntail]), axis)
+            - 2.0 * values
+            + np.concatenate((values[phead], values[ptail]), axis)
+        ) / st.h2
+        lap = term if lap is None else lap + term
+    return lap
 
 
 def _advective_speed_scale(m: float, umin: Optional[float], umax: Optional[float]) -> float:
@@ -295,15 +314,18 @@ def cfl_dt(
     lows = values.min(axis=grid.axes).tolist() if min(ms) < 1.0 else [None] * len(ms)
     highs = values.max(axis=grid.axes).tolist() if max(ms) >= 1.0 else [None] * len(ms)
     h, dim = grid.h, grid.dim
+    h2, two_d = h**2, 2.0 * dim
     dts = []
     for r, (c, gap, vmax, umin, umax) in enumerate(zip(cfgs, gaps, vmaxes, lows, highs)):
         eps = c.epsilon_at(grid)
         rate = dim * vmax * _advective_speed_scale(c.m, umin, umax)
-        dt = c.cfl * h / rate if rate > 0.0 else np.inf
-        if eps > 0.0:
-            dt = min(dt, c.cfl * h**2 / (2.0 * dim * eps))
-        if gap is not None:
-            dt = min(dt, gap)
+        # advective, viscous and output bounds, an absent one inf: min
+        # returns the first smallest, as taking them one after another does
+        dt = min(
+            c.cfl * h / rate if rate > 0.0 else np.inf,
+            c.cfl * h2 / (two_d * eps) if eps > 0.0 else np.inf,
+            np.inf if gap is None else gap,
+        )
         if not math.isfinite(dt):
             raise SolverError("time step unbounded: provide an output-time gap", member=r)
         if dt < _DT_UNDERFLOW:
@@ -328,31 +350,57 @@ def _negativity(worst: float) -> str:
     return f"negativity beyond roundoff ({worst:.3e}): scheme misconfigured"
 
 
+@dataclass(frozen=True)
+class _StepPlan:
+    """What each batch step reads that changes only when a member leaves.
+
+    stencil is the grid's.  ms holds the active rows' mobility exponents
+    and m the one they share, None when they differ.  viscous lists the
+    rows with eps > 0, None when that is every row, and eps is their factor
+    (`_per_member`), None when no row has one.
+    """
+
+    stencil: _Stencil
+    m: Optional[float]
+    ms: list[float]
+    viscous: Optional[list[int]]
+    eps: Union[None, float, np.ndarray]
+
+
+def _step_plan(grid: TorusGrid, ms: list[float], eps: list[float]) -> _StepPlan:
+    """The plan of a batch step whose rows have exponents ms and viscosities eps."""
+    m = ms[0] if ms.count(ms[0]) == len(ms) else None
+    viscous = [r for r, e in enumerate(eps) if e > 0.0]
+    if len(viscous) == len(eps):
+        return _StepPlan(_stencil(grid), m, ms, None, _per_member(eps, grid))
+    factor = _per_member([eps[r] for r in viscous], grid) if viscous else None
+    return _StepPlan(_stencil(grid), m, ms, viscous, factor)
+
+
 def _euler_update(
-    grid: TorusGrid,
+    plan: _StepPlan,
     values: np.ndarray,
     mob: np.ndarray,
     faces: tuple[np.ndarray, ...],
     dt: list[float],
-    eps: list[float],
 ) -> tuple[np.ndarray, list[float]]:
     """values + dt * (div_h(mob * drift) + eps Lap_h values) for a (B, *grid.shape) array.
 
-    dt and eps hold one float per member.  Only members with eps > 0 get the
-    viscosity and only members whose update went negative are clamped at
-    zero, so each member's arithmetic, down to the signs of zeros, is that
-    of its lone run.  Returns the update and each member's minimum before
-    the clamp.
+    dt holds one float per member, and plan the rows' viscosities.  Only
+    members with eps > 0 get the viscosity and only members whose update
+    went negative are clamped at zero, so each member's arithmetic, down to
+    the signs of zeros, is that of its lone run.  Returns the update and
+    each member's minimum before the clamp.
     """
-    rhs = _divergence_flux(grid, mob, faces)
-    viscous = [r for r, e in enumerate(eps) if e > 0.0]
-    if len(viscous) == len(eps):
-        rhs += _per_member(eps, grid) * _laplacian(grid, values)
-    elif viscous:
-        lap = _laplacian(grid, values[viscous])
-        rhs[viscous] += _per_member([eps[r] for r in viscous], grid) * lap
-    new = values + _per_member(dt, grid) * rhs
-    worst = new.min(axis=grid.axes).tolist()
+    st = plan.stencil
+    rhs = _divergence_flux(st, mob, faces)
+    if plan.viscous is None:
+        rhs += plan.eps * _laplacian(st, values)
+    elif plan.viscous:
+        lap = _laplacian(st, values[plan.viscous])
+        rhs[plan.viscous] += plan.eps * lap
+    new = values + _per_member(dt, st.grid) * rhs
+    worst = new.min(axis=st.grid.axes).tolist()
     for member, lowest in zip(new, worst):
         if lowest < 0.0:
             np.maximum(member, 0.0, out=member)
@@ -386,31 +434,45 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
+    plan = _step_plan(grid, [cfg.m], [cfg.epsilon_at(grid)])
     mob = _mobility(values, cfg.m)
-    new, worst = _euler_update(grid, values, mob, faces, [dt], [cfg.epsilon_at(grid)])
+    new, worst = _euler_update(plan, values, mob, faces, [dt])
     if worst[0] < -_NEGATIVITY_GUARD:
         raise SolverError(_negativity(worst[0]))
     return ScalarField(grid, new[0])
 
 
-def _dissipation_density(mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
+def _dissipation_density(
+    st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...]
+) -> np.ndarray:
     """Sum over cells of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces.
 
-    One face array per grid axis; the sum runs over those trailing axes, so
-    a batch gets one value per member.
+    One face array per grid axis; the sum runs over the trailing grid axes,
+    so a batch gets one value per member.
     """
-    axes = tuple(range(-len(faces), 0))
-    squares = (w**2 for w in faces)
-    sq = _axis_sum(0.5 * (s + _prev(s, axis)) for axis, s in zip(axes, squares))
-    return (sq * mob).sum(axis=axes)
+    sq = None
+    for (axis, _, (head, tail)), w in zip(st.neighbours, faces):
+        s = w**2
+        term = 0.5 * (s + np.concatenate((s[head], s[tail]), axis))
+        sq = term if sq is None else sq + term
+    # The last axis's arrays die before the product is allocated, as they
+    # did at the end of a generator pipeline: alive there, they raised a
+    # lone 2-D n = 256 run's minor page faults from ~73k to ~97k (glibc
+    # malloc trims and regrows the heap).
+    del s, term
+    return (sq * mob).sum(axis=st.grid.axes)
 
 
 def _grad_sup(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Max over cells of the Euclidean centered-difference |grad u|, per member."""
-    sq = _axis_sum(
-        ((_next(values, axis) - _prev(values, axis)) / (2.0 * grid.h)) ** 2
-        for axis in grid.axes
-    )
+    st = _stencil(grid)
+    sq = None
+    for axis, (nhead, ntail), (phead, ptail) in st.neighbours:
+        diff = np.concatenate((values[nhead], values[ntail]), axis) - np.concatenate(
+            (values[phead], values[ptail]), axis
+        )
+        term = (diff / (2.0 * st.h)) ** 2
+        sq = term if sq is None else sq + term
     return np.sqrt(sq.max(axis=grid.axes))
 
 
@@ -443,6 +505,14 @@ def run_batch(
     those that have left included; a larger state is reduced alone, as it
     stands.  Each trajectory is bit-identical to the member integrated
     alone, each step reduced alone.
+
+    Bound once per run, and again only when a member leaves: the step plan,
+    which holds the grid's stencil (h, h^2 and the index pieces of each
+    axis's neighbours), the active members' configs and exponents (and the
+    one they share, if they do), and the rows with eps > 0 with their eps
+    factor.  Done at every step: the half spectrum and the face drift, the
+    cfl_dt call, the mobility, the dissipation density and the Euler update,
+    whose stages loop over the axes reading the plan's pieces.
 
     Snapshots land exactly on the requested times (the step is clamped to the
     next output).  Observables are recorded every `record_every` steps and at
@@ -536,6 +606,9 @@ def run_batch(
 
     every = [cfg.record_every for cfg in cfgs]
     stop = [cfg.t_end - 1e-13 for cfg in cfgs]
+    # The active rows' configs and step plan, rebuilt when a member leaves.
+    active_cfgs = cfgs
+    plan = _step_plan(grid, [cfg.m for cfg in cfgs], eps)
     step_idx = 0
     while True:
         uhat = half_spectrum(grid, values)
@@ -550,24 +623,25 @@ def run_batch(
                 break
             active = [active[r] for r in keep]
             values, faces = values[keep], tuple(w[keep] for w in faces)
+            active_cfgs = [cfgs[i] for i in active]
+            plan = _step_plan(grid, [cfg.m for cfg in active_cfgs], [eps[i] for i in active])
         gaps = [outputs[i][out_idx[i]] - t[i] for i in active]
         try:
-            dts = cfl_dt((grid, values), [cfgs[i] for i in active], gaps, faces)
+            dts = cfl_dt((grid, values), active_cfgs, gaps, faces)
         except SolverError as exc:
             fail(active[exc.member], str(exc))
         # Each member's exponent stays a Python float: np.power has fast
         # paths for a scalar exponent (square, sqrt) that an array one skips.
         # Mixed m raise each row of one clamped copy in place, as _mobility
         # would raise that member alone.
-        ms = {cfgs[i].m for i in active}
-        if len(ms) == 1:
-            mob = _mobility(values, ms.pop())
+        if plan.m is not None:
+            mob = _mobility(values, plan.m)
         else:
             mob = np.maximum(values, 0.0)
-            for row, i in zip(mob, active):
-                np.power(row, cfgs[i].m, out=row)
-        dissipation = _dissipation_density(mob, faces).tolist()
-        values, worst = _euler_update(grid, values, mob, faces, dts, [eps[i] for i in active])
+            for row, m in zip(mob, plan.ms):
+                np.power(row, m, out=row)
+        dissipation = _dissipation_density(plan.stencil, mob, faces).tolist()
+        values, worst = _euler_update(plan, values, mob, faces, dts)
         lowest = min(worst)
         if lowest < -_NEGATIVITY_GUARD:
             fail(active[worst.index(lowest)], _negativity(lowest))
@@ -718,10 +792,14 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
     def flat(fields: np.ndarray) -> np.ndarray:
         return fields.reshape(len(fields), -1)
 
+    st = _stencil(grid)
     profiles = functools.reduce(np.multiply, factors)
     prof = flat(profiles).T
-    dprof = [flat(_next(profiles, axis) - profiles).T / grid.h for axis in grid.axes]
-    lprof = flat(_laplacian(grid, profiles)).T * eps if eps > 0.0 else None
+    dprof = [
+        flat(np.concatenate((profiles[head], profiles[tail]), axis) - profiles).T / grid.h
+        for axis, (head, tail), _ in st.neighbours
+    ]
+    lprof = flat(_laplacian(st, profiles)).T * eps if eps > 0.0 else None
 
     kap = np.asarray(kappas, dtype=float).reshape((-1,) + (1,) * grid.dim)
     km = kap**m
@@ -742,8 +820,8 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
         z = -sgn * km * (u - ubar)
         pairs[0] = flat(eta) @ prof
         pairs[1] = flat(z) @ prof
-        for axis, w, dp in zip(grid.axes, faces, dprof):
-            pairs[1] -= flat(_upwind_face_values(q, w, axis) * w) @ dp
+        for neighbour, w, dp in zip(st.neighbours, faces, dprof):
+            pairs[1] -= flat(_upwind_face_values(q, w, neighbour) * w) @ dp
         if lprof is not None:
             pairs[1] += flat(eta) @ lprof
         totals += weights[n] @ pairs.reshape(2, -1)

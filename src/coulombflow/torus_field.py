@@ -247,10 +247,20 @@ def spectral_laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, _fourier_multiply(u, -4.0 * np.pi**2 * ksq))
 
 
+# exp(-2 pi^2 w^2 |k|^2) is 0 in float64 for every wavenumber k != 0 once w
+# exceeds about 6.2, so every width beyond this one damps exactly as it does.
+_MOLLIFY_WIDTH_CAP = 1e3
+
+
 def mollify(u: ScalarField, width: float) -> ScalarField:
-    """Spectral Gaussian smoothing with standard deviation `width`; u itself if width <= 0."""
+    """Spectral Gaussian smoothing with standard deviation `width`; u itself if width <= 0.
+
+    A width beyond ~6.2 leaves only the mean.  Widths are capped at 1e3,
+    where that already holds, so width**2 cannot overflow.
+    """
     if width <= 0:
         return u
+    width = min(width, _MOLLIFY_WIDTH_CAP)
     damp = np.exp(-2.0 * np.pi**2 * width**2 * spectral_symbols(u.grid).ksq)
     return ScalarField(u.grid, np.maximum(_fourier_multiply(u, damp), 0.0))
 

@@ -125,6 +125,26 @@ MALFORMED = [
             ("center", {"kind": "power_edge", "c": 4.0, "s0": 0.5, "exponent": 1.0, "center": False}),
         )
     ),
+    # numbers outside the float range: NaN, the infinities, a too large integer
+    *(
+        pytest.param(
+            "simulate", sim_ic(**ic), "initial_condition", key, id=f"initial_condition.{key}-{label}"
+        )
+        for key, label, ic in (
+            ("base", "inf", {"kind": "cosine", "base": math.inf}),
+            ("base", "nan", {"kind": "cosine", "base": math.nan}),
+            ("base", "-inf", {"kind": "cosine", "base": -math.inf}),
+            ("base", "huge-int", {"kind": "cosine", "base": 10**400}),
+            ("amplitudes", "nan", {"kind": "cosine", "base": 1.0, "amplitudes": [0.1, math.nan]}),
+            ("blocks", "inf", {"kind": "blocks", "blocks": [[0.25, math.inf, 1.0]]}),
+            ("value", "-inf", {"kind": "constant", "value": -math.inf}),
+            ("s0", "nan", {"kind": "power_edge", "c": 4.0, "s0": math.nan, "exponent": 1.0}),
+        )
+    ),
+    pytest.param(
+        "simulate", sim_doc("initial_condition", mollify=10**400), "initial_condition", "mollify",
+        id="initial_condition.mollify-huge-int",
+    ),
     pytest.param(
         "verify", {"verify": {"suite": "theorem-suite-small", "n": True}}, "verify", "n",
         id="verify.n-bool",
@@ -365,6 +385,36 @@ class TestConfigValidation:
         assert main(["simulate", "--config", write_config(tmp_path / "c.json", doc),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: time step underflow: dt = 0.000e+00\n"
+
+    # every mode k != 0 damps to 0 and the mean is left; width**2 overflowed
+    # a Python float from ~1.34e154 on
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "width", [7.0, 1e155, 1.7976931348623157e308, 10**300],
+        ids=["7", "1e155", "float-max", "int-1e300"],
+    )
+    def test_huge_mollify_width_leaves_the_mean(self, tmp_path, width):
+        cfg = write_config(tmp_path / "c.json", sim_doc("initial_condition", mollify=width))
+        u0 = load_config(cfg).u0.values
+        np.testing.assert_allclose(u0, 1.0, rtol=0, atol=1e-15)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    # the support radius, s0/2 at d = 1 and sqrt(s0/pi) at d = 2, rounds to 0
+    # at s0 = 5e-324 and divided by zero; at d = 1, s0 = 1e-320 the distance
+    # over the radius overflowed
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim, s0, code", [(2, 5e-324, 2), (1, 5e-324, 2), (1, 1e-320, 0)])
+    def test_power_edge_zero_radius(self, tmp_path, capsys, dim, s0, code):
+        doc = {
+            **sim_ic(kind="power_edge", c=1.0, s0=s0, exponent=1.0),
+            "grid": {"dim": dim, "n": 16},
+        }
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == code
+        if code == 2:
+            assert "initial_condition.s0 = 5e-324" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_json_is_config_error(self, tmp_path):
         p = tmp_path / "broken.json"

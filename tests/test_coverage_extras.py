@@ -234,7 +234,7 @@ class TestSmallGaps:
     def test_face_average_dissipation_near_cell_centered(self):
         # the solver's face-averaged |drift|^2 u^m quadrature matches the
         # cell-centered one to second order in h
-        from coulombflow.pde_solver import _dissipation_density, _mobility
+        from coulombflow.pde_solver import _dissipation_density, _mobility, _stencil
 
         diffs = {}
         for n in (128, 256):
@@ -242,7 +242,10 @@ class TestSmallGaps:
             x = g.axis_coordinates()
             u = ScalarField(g, 1 + 0.4 * np.cos(2 * np.pi * x))
             faces = coulomb_field(u, "face")
-            from_faces = _dissipation_density(_mobility(u.values, 2.0), faces) * g.cell_measure
+            from_faces = (
+                _dissipation_density(_stencil(g), _mobility(u.values, 2.0), faces)
+                * g.cell_measure
+            )
             v = coulomb_field(u)[0]
             direct = float(np.sum(v**2 * u.values**2)) * g.cell_measure
             diffs[n] = abs(from_faces - direct)

@@ -15,6 +15,7 @@ from coulombflow.pde_solver import (
     step,
 )
 from coulombflow.initial_conditions import build_initial_condition
+from coulombflow.suites import cosine_run, cosine_runs
 from coulombflow.torus_field import (
     ScalarField,
     coulomb_drift,
@@ -539,6 +540,32 @@ def test_run_batch_matches_roll_based_reference(members):
     # reference shares none of the batch code
     for (u0, cfg), traj in zip(members, run_batch(members)):
         _assert_matches_reference(traj, *_run_reference(u0, cfg))
+
+
+def test_cosine_suite_batch_matches_reference_and_lone_runs_bit_for_bit():
+    # the verify suite's batch shape: eps = h and cfl shared, so one eps and
+    # one dt factor for every row, and m differing, so the mobility is
+    # raised row by row
+    ms = (0.5, 1.0, 2.0, 4.0)
+    batch = cosine_runs(128, ms, t_end=0.5, n_out=5)
+    grid = make_grid(1, 128)
+    u0 = build_initial_condition(grid, {"kind": "cosine", "base": 1.0, "amplitudes": [0.5]})
+    for m in ms:
+        traj = batch[m]
+        assert len(traj.snapshots) == 6 and len(traj.observables.t) > 100
+        _assert_same_trajectory(traj, cosine_run(128, m, t_end=0.5, n_out=5))
+        cfg = SolverConfig(m=m, t_end=0.5, output_times=np.linspace(0.1, 0.5, 5))
+        want_snaps, want_rows = _run_reference(u0, cfg)
+        assert [t for t, _ in traj.snapshots] == [t for t, _ in want_snaps]
+        for (_, got), (_, want) in zip(traj.snapshots, want_snaps):
+            _assert_identical(got.values, want)
+        obs = traj.observables
+        got_cols = [
+            obs.t, obs.mass, obs.min, obs.max, obs.mass, obs.l2, obs.max,
+            obs.energy, obs.cumulative_dissipation,
+        ]
+        for got, want in zip(got_cols, want_rows.T):
+            _assert_identical(got, want)
 
 
 def _wavy(dim, n):
