@@ -4,8 +4,8 @@ Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 (analytic front ODE systems), verify (named check suites, JSON report),
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
 verification failure, 2 usage or configuration error or a failed output
-write.  `verify --jobs N` runs suite tasks on N >= 1 threads (default 1);
-reports are identical for any N.
+write.  verify runs its suite's tasks one after another; `--jobs` admits
+only 1 and is kept for callers that pass it.
 simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files while the
 solver steps: each snapshot goes to a forked child as it lands, with up to
 one child per usable core but the solver's, and the snapshots still queued
@@ -259,7 +259,7 @@ def cmd_verify(args) -> int:
     out_dir = args.out or cfg.outputs.get("dir", "out")
     _ensure_outdir(out_dir)
     try:
-        results, warnings = run_suite(suite, jobs=args.jobs, **sizes)
+        results, warnings = run_suite(suite, **sizes)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     code = emit_report(
@@ -295,13 +295,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulombflow",
@@ -323,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--jobs", type=_positive_int, default=1)
+    p_ver.add_argument("--jobs", type=int, choices=[1], default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("plot", help="CSV columns to SVG line chart")

@@ -7,12 +7,13 @@ that uses the section, all at load time: `make_grid` checks the grid,
 `SolverConfig` when it is built the solver, and the state class that
 `fronts.mode` names the front system.  Their errors become a `ConfigError`
 that names the section, and for the grid, the solver, `verify.n`, a missing,
-unused or non-numeric `initial_condition` key and a missing `fronts` key the
-key.  This module checks only what no owner does:
-`initial_condition.mollify`, `fronts.t_end` positive and finite, each field
-of the front state a number, no `fronts` key that the chosen mode does not
-use, and `outputs.formats`.
-Wherever a number is required, a JSON boolean is rejected (`is_number`).
+unused or non-numeric `initial_condition` key and a missing or non-numeric
+`fronts` key the key.  This module checks only what no owner does:
+`initial_condition.mollify`, `fronts.t_end` positive, each field of the
+front state a number, no `fronts` key that the chosen mode does not use, and
+`outputs.formats`.
+Wherever a number is required, it must pass `is_number`: a finite number,
+never a JSON boolean.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -105,7 +104,7 @@ def _mollify_width(ic: dict, grid: TorusGrid) -> float:
     mol = ic["mollify"]
     if mol == "off":
         return 0.0
-    if not (is_number(mol) and 0 <= mol <= sys.float_info.max):
+    if not (is_number(mol) and mol >= 0):
         raise ConfigError(
             f"initial_condition.mollify must be 'off' or a finite number >= 0, got {mol!r}"
         )
@@ -124,19 +123,20 @@ def _build_simulation(cfg: ExperimentConfig, grid: dict, solver: dict, ic: dict)
 
 
 def _build_fronts(fronts: dict) -> FrontRun:
-    with _owned("fronts"):
+    with _owned("fronts", keyed=True):
         mode = fronts["mode"]
         if mode not in FRONT_SYSTEMS:
             raise ValueError(f"mode must be one of {sorted(FRONT_SYSTEMS)}, got {mode!r}")
         t_end = fronts.get("t_end", 1.0)
-        if not (is_number(t_end) and 0 < t_end < math.inf):
-            raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+        if not (is_number(t_end) and t_end > 0):
+            raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
         cls = FRONT_SYSTEMS[mode][0]
         names = [f.name for f in dataclasses.fields(cls)]
         values = {name: fronts[name] for name in names}
         for name, value in values.items():
             if not is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+    with _owned("fronts"):
         state = cls(**values)
     unused = fronts.keys() - {"mode", "t_end", *names}
     if unused:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from coulombflow.torus_field import ScalarField, TorusGrid, is_number
@@ -124,14 +122,12 @@ _NUMERIC_NAMES = (
 
 
 def _holds_numbers(value, depth: int) -> bool:
-    """Whether value is a finite number (depth 0) or a list of such values nested depth deep.
+    """Whether value is a number (depth 0) or a list of such values nested depth deep.
 
-    A JSON boolean is not a number (`is_number`).  Finite means within the
-    float range, which rejects NaN, the infinities and integers too large
-    for a float.
+    A number is what `is_number` accepts: finite, and never a JSON boolean.
     """
     if depth == 0:
-        return is_number(value) and abs(value) <= sys.float_info.max
+        return is_number(value)
     return isinstance(value, (list, tuple)) and all(_holds_numbers(v, depth - 1) for v in value)
 
 

@@ -95,22 +95,24 @@ class SolverConfig:
         """Check the invariants; each error message begins with the offending field."""
         for name, value in (("m", self.m), ("cfl", self.cfl), ("t_end", self.t_end)):
             if not is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0 < self.m < np.inf:
-            raise ValueError(f"m must be positive and finite, got {self.m}")
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.m <= 0:
+            raise ValueError(f"m must be positive, got {self.m}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not _TIME_RESOLUTION <= self.t_end < np.inf:
+        if self.t_end < _TIME_RESOLUTION:
             raise ValueError(f"t_end must be finite and >= {_TIME_RESOLUTION:g}, got {self.t_end}")
         if not is_number(self.record_every, numbers.Integral) or self.record_every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+            raise ValueError(
+                f"record_every must be a finite integer >= 1, got {self.record_every!r}"
+            )
         times = self.output_times
         if not isinstance(times, (list, tuple, np.ndarray)) or not all(
             is_number(t) and _TIME_RESOLUTION <= t <= self.t_end for t in times
         ):
             raise ValueError(f"output_times must be numbers in [{_TIME_RESOLUTION:g}, t_end]")
         auto = self.epsilon == "auto"
-        if not (auto or (is_number(self.epsilon) and 0 <= self.epsilon < np.inf)):
+        if not (auto or (is_number(self.epsilon) and self.epsilon >= 0)):
             raise ValueError(
                 f"epsilon must be 'auto' or a finite number >= 0, got {self.epsilon!r}"
             )
@@ -121,7 +123,11 @@ class SolverConfig:
             )
 
     def output_schedule(self) -> list[float]:
-        """The snapshot times after t = 0: the distinct output times, ending at t_end."""
+        """The snapshot times after t = 0: the distinct output times, ending at t_end.
+
+        An output time within 1e-12 of t_end stands for it and is the last;
+        run_batch ends a member's run where its last snapshot lands.
+        """
         outputs: list[float] = []
         for t in sorted(float(t) for t in self.output_times):
             if not outputs or t - outputs[-1] > _TIME_RESOLUTION:
@@ -499,12 +505,12 @@ def run_batch(
     over a (B, *grid.shape) array, B = 1 for a lone run; everything else is
     their own: m, eps, cfl, t_end, output times and record_every.  Each step
     makes one cfl_dt call, which gives every active member its own dt, and
-    a member leaves the batch at its t_end.  The observables of the
-    recorded steps are reduced along the grid axes after the step, in
-    blocks of up to ~32 KB of held field values, for all members at once,
-    those that have left included; a larger state is reduced alone, as it
-    stands.  Each trajectory is bit-identical to the member integrated
-    alone, each step reduced alone.
+    a member leaves the batch when the last snapshot of its output_schedule
+    lands.  The observables of the recorded steps are reduced along the
+    grid axes after the step, in blocks of up to ~32 KB of held field
+    values, for all members at once, those that have left included; a
+    larger state is reduced alone, as it stands.  Each trajectory is
+    bit-identical to the member integrated alone, each step reduced alone.
 
     Bound once per run, and again only when a member leaves: the step plan,
     which holds the grid's stencil (h, h^2 and the index pieces of each
@@ -564,7 +570,7 @@ def run_batch(
     n_fields = len(fields(Observables))
 
     # Row r of the batch arrays steps member active[r]; a member's row is
-    # dropped once it reaches its t_end.
+    # dropped once its last scheduled snapshot lands.
     active = list(range(len(members)))
 
     # record() holds the due rows of a step's values and uhat, which are
@@ -605,15 +611,15 @@ def run_batch(
             rows[i].extend((ti, mass, umin, umax, l2, energy, diss))
 
     every = [cfg.record_every for cfg in cfgs]
-    stop = [cfg.t_end - 1e-13 for cfg in cfgs]
     # The active rows' configs and step plan, rebuilt when a member leaves.
     active_cfgs = cfgs
     plan = _step_plan(grid, [cfg.m for cfg in cfgs], eps)
     step_idx = 0
+    # The rows whose last scheduled snapshot landed in the step just taken.
+    done: list[int] = []
     while True:
         uhat = half_spectrum(grid, values)
         faces = coulomb_drift(grid, uhat)
-        done = [r for r, i in enumerate(active) if t[i] >= stop[i]]
         due = [r for r, i in enumerate(active) if step_idx % every[i] == 0 or r in done]
         if due:
             record(due, uhat)
@@ -649,7 +655,8 @@ def run_batch(
             r = np.isfinite(values).all(axis=grid.axes).tolist().index(False)
             fail(active[r], f"non-finite values at t = {t[active[r]] + dts[r]:.6g}")
         step_idx += 1
-        for i, dt, dissipated, v in zip(active, dts, dissipation, values):
+        done = []
+        for r, (i, dt, dissipated, v) in enumerate(zip(active, dts, dissipation, values)):
             cum_diss[i] += dt * dissipated * cm
             t[i] += dt
             if abs(t[i] - outputs[i][out_idx[i]]) < _TIME_RESOLUTION:
@@ -658,7 +665,9 @@ def run_batch(
                 snapshots[i].append((t[i], field))
                 if on_snapshot is not None:
                     on_snapshot(i, t[i], field)
-                out_idx[i] = min(out_idx[i] + 1, len(outputs[i]) - 1)
+                out_idx[i] += 1
+                if out_idx[i] == len(outputs[i]):
+                    done.append(r)
 
     flush()
     # Popping frees each member's flat rows once they are copied out.

@@ -10,9 +10,8 @@ one pde_solver.run_batch batch; each trajectory is bit-identical to the
 member run alone.
 
 A suite is a list of independent tasks, each producing CheckResults from
-fresh simulations or front integrations; tasks may run concurrently (they
-share nothing) and results are reported in task order regardless of the
-completion order, keeping reports byte-deterministic.  In
+fresh simulations or front integrations; they run one after another and
+results are reported in task order, keeping reports byte-deterministic.  In
 theorem-suite-small the four cosine members (m = 0.5, 1, 2, 4) are one
 task, which reports their checks in that order.
 """
@@ -20,7 +19,6 @@ task, which reports their checks in that order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -316,7 +314,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, n: int = 128, jobs: int = 1) -> tuple[list[CheckResult], list[str]]:
+def run_suite(name: str, n: int = 128) -> tuple[list[CheckResult], list[str]]:
     """Execute a named suite; returns (results, warnings)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
@@ -325,10 +323,5 @@ def run_suite(name: str, n: int = 128, jobs: int = 1) -> tuple[list[CheckResult]
     if not tasks:
         warnings.append(f"suite {name!r} contains zero checks")
         return [], warnings
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda f: f(), tasks))
-    else:
-        chunks = [f() for f in tasks]
-    results = [r for chunk in chunks for r in chunk]
+    results = [r for task in tasks for r in task()]
     return results, warnings

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +106,19 @@ class ScalarField:
 
 
 def is_number(value, kind: type = numbers.Real) -> bool:
-    """Whether value is an instance of the numeric ABC kind and not a bool.
+    """Whether value is a finite number: an instance of the numeric ABC kind, not a bool.
 
-    numbers.Real and numbers.Integral include bool, so without the second
-    test a JSON true would pass as 1.
+    The one rule for a number read from outside; each caller checks only
+    its own range.  Finite means an absolute value of at most the largest
+    float, which rejects NaN, both infinities and integers too large for a
+    float.  numbers.Real and numbers.Integral include bool, so without the
+    bool test a JSON true would pass as 1.
     """
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def make_grid(dim: int, n: int) -> TorusGrid:
@@ -121,7 +129,7 @@ def make_grid(dim: int, n: int) -> TorusGrid:
     if not (is_number(dim, numbers.Integral) and dim in (1, 2)):
         raise ValueError(f"dim = {dim!r} is an unsupported dimension (expected 1 or 2)")
     if not is_number(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise ValueError(f"n must be a finite integer, got {n!r}")
     if n < 8:
         raise ValueError(f"n = {n} < 8 makes the grid too coarse")
     return TorusGrid(dim=int(dim), n=int(n))

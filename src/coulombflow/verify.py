@@ -173,9 +173,7 @@ def _fitted_log_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(times, np.log(values), 1)[0])
 
 
-def check_asymptotics(
-    traj: Trajectory, norms: Sequence[str] = ("l1", "linf", "hm1")
-) -> list[CheckResult]:
+def check_asymptotics(traj: Trajectory) -> list[CheckResult]:
     """Least-squares decay slopes of u - ubar over the second half of the run.
 
     Required rates: L1 at ubar^m for every m; the energy norm at c^m
@@ -204,8 +202,7 @@ def check_asymptotics(
         "hm1": (c**m if m >= 1 else 0.0),  # m < 1: constant unspecified, fit only
     }
     out = []
-    for name in norms:
-        vals = series[name]
+    for name, vals in series.items():
         if np.max(vals) < 1e-13:
             out.append(
                 CheckResult.from_measurement(

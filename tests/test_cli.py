@@ -49,6 +49,11 @@ def sim_ic(**ic):
     return {**SIM_DOC, "initial_condition": ic}
 
 
+FRONTS_SINGLE = {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75}
+FRONTS_SUPER = {"mode": "super", "C": 0.25, "alpha": 0.8, "s2": 0.35, "s3": 0.48,
+                "ubar": 1.0, "m": 2.0}
+
+
 # (command, document, section, key); the message must name section.key, or
 # only the section where key is None.
 MALFORMED = [
@@ -145,6 +150,33 @@ MALFORMED = [
         "simulate", sim_doc("initial_condition", mollify=10**400), "initial_condition", "mollify",
         id="initial_condition.mollify-huge-int",
     ),
+    # every number from outside goes through is_number, which means finite: an
+    # integer beyond the float range or an infinity is rejected by name
+    *(
+        pytest.param("simulate", sim_doc(section, **{key: 10**400}), section, key,
+                     id=f"{section}.{key}-huge-int")
+        for section, key in (
+            ("solver", "epsilon"),
+            ("solver", "t_end"),
+            ("solver", "m"),
+            ("solver", "record_every"),
+            ("grid", "n"),
+        )
+    ),
+    pytest.param(
+        "verify", {"verify": {"suite": "theorem-suite-small", "n": 10**400}}, "verify", "n",
+        id="verify.n-huge-int",
+    ),
+    *(
+        pytest.param("fronts", {"fronts": {**state, key: value}}, "fronts", key,
+                     id=f"fronts.{key}-{label}-{state['mode']}")
+        for state, key, value, label in (
+            (FRONTS_SINGLE, "t_end", 10**400, "huge-int"),
+            (FRONTS_SINGLE, "m", 10**400, "huge-int"),
+            (FRONTS_SINGLE, "ubar", math.inf, "inf"),
+            (FRONTS_SUPER, "m", math.inf, "inf"),
+        )
+    ),
     pytest.param(
         "verify", {"verify": {"suite": "theorem-suite-small", "n": True}}, "verify", "n",
         id="verify.n-bool",
@@ -152,12 +184,12 @@ MALFORMED = [
     pytest.param(
         "fronts",
         {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75, "t_end": True}},
-        "fronts", None, id="fronts.t_end-bool",
+        "fronts", "t_end", id="fronts.t_end-bool",
     ),
     pytest.param(
         "fronts",
         {"fronts": {"mode": "single", "m": True, "ubar": True, "s1": False, "s2": True}},
-        "fronts", None, id="fronts.state-bool",
+        "fronts", "s1", id="fronts.state-bool",
     ),
     pytest.param(
         "simulate", sim_doc("initial_condition", mollify=-3.0), "initial_condition", "mollify",
@@ -199,7 +231,7 @@ MALFORMED = [
     pytest.param(
         "fronts",
         {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": "a", "s2": 0.75}},
-        "fronts", None, id="fronts.s1-str",
+        "fronts", "s1", id="fronts.s1-str",
     ),
     pytest.param(
         "fronts", {"fronts": {"m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75}}, "fronts", "mode",
@@ -219,13 +251,13 @@ MALFORMED = [
     pytest.param(
         "fronts",
         {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75, "t_end": "x"}},
-        "fronts", None, id="fronts.t_end-str",
+        "fronts", "t_end", id="fronts.t_end-str",
     ),
     pytest.param(
         "fronts",
         {"fronts": {"mode": "single", "m": 1.0, "ubar": 1.0, "s1": 0.25, "s2": 0.75,
                     "t_end": float("inf")}},
-        "fronts", None, id="fronts.t_end-inf",
+        "fronts", "t_end", id="fronts.t_end-inf",
     ),
     pytest.param(
         "fronts",
@@ -720,7 +752,7 @@ class TestVerifyCommand:
         assert report["warnings"]
         assert "zero checks" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
         cfg = write_config(tmp_path / "c.json", {"verify": {"suite": "empty"}, "outputs": {}})
         out = tmp_path / "out"

@@ -650,6 +650,21 @@ def test_run_batch_error_names_the_member():
         run_batch([(cosine(64), cfg), (cosine(64), cfg), (cosine(64), steep)])
 
 
+@pytest.mark.parametrize("times", [[1.0 - 5e-13], [0.5, 1.0 - 5e-13]])
+def test_run_ends_where_its_last_snapshot_lands(times):
+    # an output within 1e-12 of t_end is the schedule's last snapshot, with
+    # no t_end after it, so the run must end there and not step a gap of 0
+    cfg = SolverConfig(m=1.0, t_end=1.0, output_times=times)
+    traj = run(cosine(16), cfg)
+    assert traj.times.tolist() == [0.0, *times]
+    assert traj.observables.t[-1] == times[-1]
+    # beside a member that ends at its t_end, each runs as it does alone
+    plain = SolverConfig(m=2.0, t_end=1.0)
+    got = run_batch([(cosine(16), cfg), (cosine(16), plain)])
+    _assert_same_trajectory(got[0], traj)
+    _assert_same_trajectory(got[1], run(cosine(16), plain))
+
+
 def _reference_dt(grid, values, faces, cfg, gap):
     """One member's step bound in scalar arithmetic, from its own field and faces."""
     eps = grid.h if cfg.epsilon == "auto" else float(cfg.epsilon)

@@ -71,15 +71,15 @@ class TestAsymptotics:
             assert all(r.status == "pass" for r in results), f"m={m}"
 
     def test_l1_rate_value(self, cosine_runs_n256):
-        results = check_asymptotics(cosine_runs_n256[1.0], norms=("l1",))
-        slope = results[0].context["fitted_slope"]
+        l1 = {r.check_id: r for r in check_asymptotics(cosine_runs_n256[1.0])}["decay-rate-l1"]
+        slope = l1.context["fitted_slope"]
         assert slope <= -0.85
 
     def test_hm1_rate_m2(self, cosine_runs_n256):
-        results = check_asymptotics(cosine_runs_n256[2.0], norms=("hm1",))
-        assert results[0].status == "pass"
+        hm1 = {r.check_id: r for r in check_asymptotics(cosine_runs_n256[2.0])}["decay-rate-hm1"]
+        assert hm1.status == "pass"
         # c is the discrete minimum of the sampled cosine, close to 0.5
-        assert results[0].context["required_rate"] == pytest.approx(0.85 * 0.25, rel=1e-3)
+        assert hm1.context["required_rate"] == pytest.approx(0.85 * 0.25, rel=1e-3)
 
     def test_constant_run_degenerate(self):
         results = check_asymptotics(constant_run())
