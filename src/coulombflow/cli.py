@@ -3,9 +3,10 @@
 Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 (analytic front ODE systems), verify (named check suites, JSON report),
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
-verification failure, 2 usage or configuration error or a failed output
-write.  verify runs its suite's tasks one after another; `--jobs` admits
-only 1 and is kept for callers that pass it.
+verification failure, 2 usage or configuration error, a front system that
+loses its ordering, or a failed output write.  verify runs its suite's
+tasks one after another; `--jobs` admits only 1 and is kept for callers
+that pass it.
 simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files while the
 solver steps: each snapshot goes to a forked child as it lands, with up to
 one child per usable core but the solver's, and the snapshots still queued
@@ -26,7 +27,7 @@ import numpy as np
 
 from coulombflow.config import ConfigError, load_config
 from coulombflow.csvio import format_cells, read_csv, write_csv
-from coulombflow.hj_fronts import FRONT_SYSTEMS
+from coulombflow.hj_fronts import FRONT_SYSTEMS, FrontIntegrationError
 from coulombflow.pde_solver import SolverError, _grad_sup, run
 from coulombflow.rearrangement import rearrange, support_measure, support_threshold
 from coulombflow.suites import run_suite
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, SolverError, OSError) as exc:
+    except (ConfigError, ValueError, SolverError, FrontIntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

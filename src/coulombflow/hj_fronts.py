@@ -477,7 +477,7 @@ def smooth_samples(
 
 
 def viscosity_residual(
-    k_eval: Callable[[float, float], float],
+    k_eval: Callable[[float, np.ndarray], np.ndarray],
     m: float,
     ubar: float,
     kind: str,
@@ -489,26 +489,49 @@ def viscosity_residual(
     kind="sub" returns the max (compliant when <= tol); kind="super" returns
     the min (compliant when >= -tol).  Central finite differences with step
     delta = 1e-5; samples must keep a 2-delta margin from any kink, enforced
-    when a kink locator is supplied.
+    when a kink locator is supplied: every sample is checked before any is
+    evaluated, and the first offender in input order is named.
+
+    k_eval(t, s) must accept an array of s.  The profile is evaluated once
+    per distinct sample time t, at t on s and s -+ delta and at t -+ dt on
+    s, with dt = min(delta, 0.45 t); each sample's residual is then formed
+    on floats and folded in input order.
     """
     delta = 1e-5
     if kind not in ("sub", "super"):
         raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
-    worst = -math.inf if kind == "sub" else math.inf
-    checked = 0
-    for t, s in samples:
-        if kinks is not None:
-            if np.min(np.abs(kinks(t) - s)) < 2 * delta:
-                raise ValueError(f"sample ({t}, {s}) too close to a kink")
-        dt = min(delta, 0.45 * t) if t > 0 else delta
-        k0 = float(k_eval(t, s))
-        dkdt = (float(k_eval(t + dt, s)) - float(k_eval(t - dt, s))) / (2 * dt)
-        dkds = (float(k_eval(t, s + delta)) - float(k_eval(t, s - delta))) / (2 * delta)
-        r = dkdt + max(dkds, 0.0) ** m * (k0 - s * ubar)
-        worst = max(worst, r) if kind == "sub" else min(worst, r)
-        checked += 1
-    if checked == 0:
+    samples = list(samples)
+    if not samples:
         raise ValueError("no samples supplied")
+    at_time: dict[float, list[int]] = {}
+    for i, (t, _) in enumerate(samples):
+        at_time.setdefault(t, []).append(i)
+    s_at = {t: np.array([samples[i][1] for i in idx], dtype=float) for t, idx in at_time.items()}
+    if kinks is not None:
+        near = []
+        for t, idx in at_time.items():
+            close = np.min(np.abs(kinks(t) - s_at[t][:, None]), axis=1) < 2 * delta
+            if close.any():
+                near.append(idx[int(np.argmax(close))])
+        if near:
+            t, s = samples[min(near)]
+            raise ValueError(f"sample ({t}, {s}) too close to a kink")
+    residuals = [0.0] * len(samples)
+    for t, idx in at_time.items():
+        s = s_at[t]
+        dt = min(delta, 0.45 * t) if t > 0 else delta
+        k_all = np.asarray(k_eval(t, np.concatenate((s, s + delta, s - delta))), dtype=float)
+        k0, k_right, k_left = (part.tolist() for part in np.split(k_all, 3))
+        k_later = np.asarray(k_eval(t + dt, s), dtype=float).tolist()
+        k_earlier = np.asarray(k_eval(t - dt, s), dtype=float).tolist()
+        for j, i in enumerate(idx):
+            dkdt = (k_later[j] - k_earlier[j]) / (2 * dt)
+            dkds = (k_right[j] - k_left[j]) / (2 * delta)
+            r = dkdt + max(dkds, 0.0) ** m * (k0[j] - samples[i][1] * ubar)
+            residuals[i] = r
+    worst = -math.inf if kind == "sub" else math.inf
+    for r in residuals:
+        worst = max(worst, r) if kind == "sub" else min(worst, r)
     return float(worst)
 
 

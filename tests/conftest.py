@@ -2,11 +2,13 @@
 
 The scenarios the `verify` suites also check come from the builders in
 coulombflow.suites; only the test-only runs are configured here, beside the
-per-pair reference of the entropy residual that two test files compare with.
+per-pair reference of the entropy residual and the per-sample reference of
+the front viscosity residual that the tests compare with.
 """
 
 import contextlib
 import io
+import math
 import os
 
 import numpy as np
@@ -67,6 +69,29 @@ def entropy_residual_reference(traj, cfg, kappas):
                     total += dt * traj.epsilon * float(np.sum(eta * lap)) * cm
                 totals[k, b] += total
     return float(np.min(totals))
+
+
+def viscosity_residual_reference(k_eval, m, ubar, kind, samples, kinks=None):
+    """viscosity_residual as five scalar profile evaluations per sample."""
+    delta = 1e-5
+    if kind not in ("sub", "super"):
+        raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
+    worst = -math.inf if kind == "sub" else math.inf
+    checked = 0
+    for t, s in samples:
+        if kinks is not None:
+            if np.min(np.abs(kinks(t) - s)) < 2 * delta:
+                raise ValueError(f"sample ({t}, {s}) too close to a kink")
+        dt = min(delta, 0.45 * t) if t > 0 else delta
+        k0 = float(k_eval(t, s))
+        dkdt = (float(k_eval(t + dt, s)) - float(k_eval(t - dt, s))) / (2 * dt)
+        dkds = (float(k_eval(t, s + delta)) - float(k_eval(t, s - delta))) / (2 * delta)
+        r = dkdt + max(dkds, 0.0) ** m * (k0 - s * ubar)
+        worst = max(worst, r) if kind == "sub" else min(worst, r)
+        checked += 1
+    if checked == 0:
+        raise ValueError("no samples supplied")
+    return float(worst)
 
 
 @pytest.fixture(scope="session")

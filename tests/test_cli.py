@@ -732,6 +732,17 @@ class TestFronts:
         err = capsys.readouterr().err
         assert "C * ubar" in err
 
+    def test_collapsed_single_vortex_exit_2(self, tmp_path, capsys):
+        doc = {
+            "fronts": {"mode": "single", "m": 3.0, "ubar": 1.0, "s1": 0.0, "s2": 1e-12},
+            "outputs": {"formats": ["csv"]},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["fronts", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: single-vortex ordering lost at t = 0\n"
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_negative_control_exit_1(self, tmp_path):
