@@ -201,30 +201,26 @@ def phi_envelopes(params: BarrierParams, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lower_barrier(ubar: float, m: float, min0: float, t) -> Union[float, np.ndarray]:
-    """Pointwise lower bound for fast-diffusion (m < 1) solutions.
+    """Pointwise lower bound for fast-diffusion (m < 1) solutions with minimum min0.
 
-    Power-law growth (ubar t / 2)^(1/(1-m)) up to the half-level time, then
-    exponential saturation toward the mass; a positive initial minimum shifts
-    the power branch.
+    The lower envelope of `phi_envelopes` from beta = min0: the power law
+    (min0^(1-m) + (1 - m) ubar t / 2)^(1/(1-m)) up to the half-level time,
+    exponential saturation toward the mass restarted there.  It lies below
+    the comparison curve from min0, which the minimum of a smooth solution
+    follows, so below tanh^2(t/2) at m = 1/2, ubar = 1, min0 = 0.
     """
     if not 0 < m < 1:
         raise ValueError(f"lower_barrier requires 0 < m < 1, got m = {m}")
     if min0 < 0:
         raise ValueError("min0 must be >= 0")
-    t_arr = np.asarray(t, dtype=float)
-    tau = tau_half(BarrierParams(ubar=ubar, beta=min(min0, 0.5 * ubar), m=m))
-    power = (min0 ** (1.0 - m) + 0.5 * ubar * t_arr) ** (1.0 / (1.0 - m))
-    expo = ubar - 0.5 * ubar * np.exp(-(2.0**-m) * ubar**m * t_arr)
-    out = np.where(t_arr <= tau, power, expo)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    out = phi_envelopes(BarrierParams(ubar=ubar, beta=min0, m=m), t)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def upper_regularization(ubar: float, m: float, t) -> Union[float, np.ndarray]:
-    """Instantaneous sup bound ubar + (m t)^(-1/m), valid for any bounded data."""
-    t_arr = np.asarray(t, dtype=float)
-    out = ubar + (m * t_arr) ** (-1.0 / m)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    """Instantaneous sup bound ubar + (m t)^(-1/m), valid for any bounded data.
+
+    The upper envelope of `phi_envelopes` from beta = inf.
+    """
+    out = phi_envelopes(BarrierParams(ubar=ubar, beta=math.inf, m=m), t)[1]
+    return float(out) if out.ndim == 0 else out

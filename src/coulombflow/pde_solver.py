@@ -189,50 +189,71 @@ class Trajectory:
         return np.array([t for t, _ in self.snapshots])
 
 
+class _Axis:
+    """The neighbour reads along one trailing grid axis (a negative index).
+
+    next(x) is np.roll(x, -1, axis), the + neighbour, and prev(x) is
+    np.roll(x, 1, axis), the - neighbour, each joined from two slices that
+    index from the end, so the leading axes of a batch pass through.
+    """
+
+    def __init__(self, axis: int):
+        after = (slice(None),) * (-axis - 1)
+        self.axis = axis
+        self._next = ((..., slice(1, None)) + after, (..., slice(None, 1)) + after)
+        self._prev = ((..., slice(-1, None)) + after, (..., slice(None, -1)) + after)
+
+    def next(self, x: np.ndarray) -> np.ndarray:
+        head, tail = self._next
+        return np.concatenate((x[head], x[tail]), self.axis)
+
+    def prev(self, x: np.ndarray) -> np.ndarray:
+        head, tail = self._prev
+        return np.concatenate((x[head], x[tail]), self.axis)
+
+
 @dataclass(frozen=True)
 class _Stencil:
     """What the stencil stages read of a grid, bound once per run or call.
 
-    neighbours holds, per trailing grid axis, (axis, next, prev): two pairs
-    of index tuples (head, tail) whose pieces, joined along axis, are
-    np.roll(values, -1, axis), the + neighbour, and np.roll(values, 1,
-    axis), the - neighbour.  The pieces index from the end, so the leading
-    axes of a batch pass through.
+    h, h^2 and one `_Axis` per trailing grid axis, in the grid's order.
     """
 
     grid: TorusGrid
     h: float
     h2: float
-    neighbours: tuple[tuple[int, tuple[tuple, tuple], tuple[tuple, tuple]], ...]
+    axes: tuple[_Axis, ...]
 
 
 @functools.lru_cache(maxsize=None)
 def _stencil(grid: TorusGrid) -> _Stencil:
     """The grid's stencil, built once per grid."""
-    neighbours = []
-    for axis in grid.axes:
-        after = (slice(None),) * (-axis - 1)
-        neighbours.append((
-            axis,
-            ((..., slice(1, None)) + after, (..., slice(None, 1)) + after),
-            ((..., slice(-1, None)) + after, (..., slice(None, -1)) + after),
-        ))
-    return _Stencil(grid, grid.h, grid.h**2, tuple(neighbours))
+    return _Stencil(grid, grid.h, grid.h**2, tuple(_Axis(axis) for axis in grid.axes))
 
 
-def _upwind_face_values(values: np.ndarray, w: np.ndarray, neighbour) -> np.ndarray:
-    """Donor-cell value at each +side face: the neighbor when w > 0, else self.
+def _upwind_face_values(values: np.ndarray, w: np.ndarray, ax: _Axis) -> np.ndarray:
+    """Donor-cell value at each +side face along ax: the neighbor when w > 0, else self.
 
-    neighbour is the face axis's entry of `_Stencil.neighbours`.  The mass
-    velocity is opposite in sign to the potential gradient, so a positive
-    face drift means mass flows from the + neighbor into this cell.
+    The mass velocity is opposite in sign to the potential gradient, so a
+    positive face drift means mass flows from the + neighbor into this cell.
     """
-    axis, (head, tail), _ = neighbour
-    return np.where(w > 0.0, np.concatenate((values[head], values[tail]), axis), values)
+    return np.where(w > 0.0, ax.next(values), values)
 
 
-def _mobility(values: np.ndarray, m: float) -> np.ndarray:
-    return np.power(np.maximum(values, 0.0), m)
+def _mobility(values: np.ndarray, ms: Sequence[float]) -> np.ndarray:
+    """u^m of a (B, *grid.shape) array: a clamped copy, each row raised to its own m.
+
+    Each exponent stays a Python float: np.power has fast paths for a scalar
+    exponent (square, sqrt) that an array one skips.  Raised in place row by
+    row, each member's mobility is the one its lone run gets.  Rows are
+    taken by index: iterating the array costs a lone 1-D n = 128 call
+    ~1 us more (2-core x86-64).
+    """
+    mob = np.maximum(values, 0.0)
+    for r, m in enumerate(ms):
+        row = mob[r]
+        np.power(row, m, out=row)
+    return mob
 
 
 def _divergence_flux(st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -244,10 +265,9 @@ def _divergence_flux(st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...
     accumulator), as are those of the other stages.
     """
     div = None
-    for neighbour, w in zip(st.neighbours, faces):
-        g = w * _upwind_face_values(mob, w, neighbour)
-        axis, _, (head, tail) = neighbour
-        term = (g - np.concatenate((g[head], g[tail]), axis)) / st.h
+    for ax, w in zip(st.axes, faces):
+        g = w * _upwind_face_values(mob, w, ax)
+        term = (g - ax.prev(g)) / st.h
         div = term if div is None else div + term
     return div
 
@@ -255,12 +275,8 @@ def _divergence_flux(st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...
 def _laplacian(st: _Stencil, values: np.ndarray) -> np.ndarray:
     """Centered Laplacian over the trailing grid axes; leading axes are a batch."""
     lap = None
-    for axis, (nhead, ntail), (phead, ptail) in st.neighbours:
-        term = (
-            np.concatenate((values[nhead], values[ntail]), axis)
-            - 2.0 * values
-            + np.concatenate((values[phead], values[ptail]), axis)
-        ) / st.h2
+    for ax in st.axes:
+        term = (ax.next(values) - 2.0 * values + ax.prev(values)) / st.h2
         lap = term if lap is None else lap + term
     return lap
 
@@ -352,22 +368,17 @@ def _per_member(values: list[float], grid: TorusGrid) -> Union[float, np.ndarray
     return np.array(values).reshape((-1,) + (1,) * grid.dim)
 
 
-def _negativity(worst: float) -> str:
-    return f"negativity beyond roundoff ({worst:.3e}): scheme misconfigured"
-
-
 @dataclass(frozen=True)
 class _StepPlan:
     """What each batch step reads that changes only when a member leaves.
 
-    stencil is the grid's.  ms holds the active rows' mobility exponents
-    and m the one they share, None when they differ.  viscous lists the
-    rows with eps > 0, None when that is every row, and eps is their factor
-    (`_per_member`), None when no row has one.
+    stencil is the grid's and ms holds the active rows' mobility exponents.
+    viscous lists the rows with eps > 0, None when that is every row, and
+    eps is their factor (`_per_member`), None when no row has one: only
+    those rows' Laplacian is taken.
     """
 
     stencil: _Stencil
-    m: Optional[float]
     ms: list[float]
     viscous: Optional[list[int]]
     eps: Union[None, float, np.ndarray]
@@ -375,30 +386,29 @@ class _StepPlan:
 
 def _step_plan(grid: TorusGrid, ms: list[float], eps: list[float]) -> _StepPlan:
     """The plan of a batch step whose rows have exponents ms and viscosities eps."""
-    m = ms[0] if ms.count(ms[0]) == len(ms) else None
     viscous = [r for r, e in enumerate(eps) if e > 0.0]
     if len(viscous) == len(eps):
-        return _StepPlan(_stencil(grid), m, ms, None, _per_member(eps, grid))
+        return _StepPlan(_stencil(grid), ms, None, _per_member(eps, grid))
     factor = _per_member([eps[r] for r in viscous], grid) if viscous else None
-    return _StepPlan(_stencil(grid), m, ms, viscous, factor)
+    return _StepPlan(_stencil(grid), ms, viscous, factor)
 
 
 def _euler_update(
-    plan: _StepPlan,
-    values: np.ndarray,
-    mob: np.ndarray,
-    faces: tuple[np.ndarray, ...],
-    dt: list[float],
-) -> tuple[np.ndarray, list[float]]:
-    """values + dt * (div_h(mob * drift) + eps Lap_h values) for a (B, *grid.shape) array.
+    plan: _StepPlan, values: np.ndarray, faces: tuple[np.ndarray, ...], dt: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward-Euler step after its bound, the one that run_batch and step take.
 
-    dt holds one float per member, and plan the rows' viscosities.  Only
-    members with eps > 0 get the viscosity and only members whose update
-    went negative are clamped at zero, so each member's arithmetic, down to
-    the signs of zeros, is that of its lone run.  Returns the update and
-    each member's minimum before the clamp.
+    values + dt * (div_h(u^m * drift) + eps Lap_h values) for a (B,
+    *grid.shape) array, dt one float per member (from cfl_dt) and plan the
+    rows' exponents and viscosities.  Only members with eps > 0 get the
+    viscosity and only members whose update went negative are clamped at
+    zero, so each member's arithmetic, down to the signs of zeros, is that
+    of its lone run.  A minimum below -1e-13 is no roundoff: a SolverError
+    names the lowest row as `member`.  Returns the clamped update and the
+    mobility u^m of values, which the dissipation density reads.
     """
     st = plan.stencil
+    mob = _mobility(values, plan.ms)
     rhs = _divergence_flux(st, mob, faces)
     if plan.viscous is None:
         rhs += plan.eps * _laplacian(st, values)
@@ -407,10 +417,16 @@ def _euler_update(
         rhs[plan.viscous] += plan.eps * lap
     new = values + _per_member(dt, st.grid) * rhs
     worst = new.min(axis=st.grid.axes).tolist()
-    for member, lowest in zip(new, worst):
-        if lowest < 0.0:
+    lowest = min(worst)
+    if lowest < -_NEGATIVITY_GUARD:
+        raise SolverError(
+            f"negativity beyond roundoff ({lowest:.3e}): scheme misconfigured",
+            member=worst.index(lowest),
+        )
+    for member, low in zip(new, worst):
+        if low < 0.0:
             np.maximum(member, 0.0, out=member)
-    return new, worst
+    return new, mob
 
 
 def _data_fault(values: np.ndarray, m: float) -> Optional[str]:
@@ -426,9 +442,10 @@ def _data_fault(values: np.ndarray, m: float) -> Optional[str]:
 
 
 def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
-    """One forward-Euler update of run_batch's kernel, on a (1, *grid.shape) array.
+    """One forward-Euler update through run_batch's kernel, on a (1, *grid.shape) array.
 
-    dt must respect cfl_dt, and u must pass run_batch's data rule.
+    dt must respect cfl_dt, and u must pass run_batch's data rule; the
+    kernel's negativity guard raises as it does in run_batch.
     """
     grid = u.grid
     if fault := _data_fault(u.values, cfg.m):
@@ -440,11 +457,7 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
-    plan = _step_plan(grid, [cfg.m], [cfg.epsilon_at(grid)])
-    mob = _mobility(values, cfg.m)
-    new, worst = _euler_update(plan, values, mob, faces, [dt])
-    if worst[0] < -_NEGATIVITY_GUARD:
-        raise SolverError(_negativity(worst[0]))
+    new, _ = _euler_update(_step_plan(grid, [cfg.m], [cfg.epsilon_at(grid)]), values, faces, [dt])
     return ScalarField(grid, new[0])
 
 
@@ -457,9 +470,9 @@ def _dissipation_density(
     so a batch gets one value per member.
     """
     sq = None
-    for (axis, _, (head, tail)), w in zip(st.neighbours, faces):
+    for ax, w in zip(st.axes, faces):
         s = w**2
-        term = 0.5 * (s + np.concatenate((s[head], s[tail]), axis))
+        term = 0.5 * (s + ax.prev(s))
         sq = term if sq is None else sq + term
     # The last axis's arrays die before the product is allocated, as they
     # did at the end of a generator pipeline: alive there, they raised a
@@ -473,11 +486,8 @@ def _grad_sup(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Max over cells of the Euclidean centered-difference |grad u|, per member."""
     st = _stencil(grid)
     sq = None
-    for axis, (nhead, ntail), (phead, ptail) in st.neighbours:
-        diff = np.concatenate((values[nhead], values[ntail]), axis) - np.concatenate(
-            (values[phead], values[ptail]), axis
-        )
-        term = (diff / (2.0 * st.h)) ** 2
+    for ax in st.axes:
+        term = ((ax.next(values) - ax.prev(values)) / (2.0 * st.h)) ** 2
         sq = term if sq is None else sq + term
     return np.sqrt(sq.max(axis=grid.axes))
 
@@ -512,13 +522,15 @@ def run_batch(
     larger state is reduced alone, as it stands.  Each trajectory is
     bit-identical to the member integrated alone, each step reduced alone.
 
-    Bound once per run, and again only when a member leaves: the step plan,
-    which holds the grid's stencil (h, h^2 and the index pieces of each
-    axis's neighbours), the active members' configs and exponents (and the
-    one they share, if they do), and the rows with eps > 0 with their eps
-    factor.  Done at every step: the half spectrum and the face drift, the
-    cfl_dt call, the mobility, the dissipation density and the Euler update,
-    whose stages loop over the axes reading the plan's pieces.
+    Bound once per run, and again only when a member leaves: the active
+    members' configs and the step plan, which holds the grid's stencil (h,
+    h^2 and one `_Axis` neighbour read per grid axis), the members'
+    exponents and the rows with eps > 0 with their eps factor.  Done at
+    every step: the half spectrum and the face drift, the cfl_dt call, the
+    step kernel `_euler_update` (mobility, update, negativity guard and
+    clamp), whose stages loop over the axes, and the dissipation density of
+    the kernel's mobility.  A SolverError of cfl_dt or the kernel names its
+    row, and the run ends there.
 
     Snapshots land exactly on the requested times (the step is clamped to the
     next output).  Observables are recorded every `record_every` steps and at
@@ -634,23 +646,10 @@ def run_batch(
         gaps = [outputs[i][out_idx[i]] - t[i] for i in active]
         try:
             dts = cfl_dt((grid, values), active_cfgs, gaps, faces)
+            values, mob = _euler_update(plan, values, faces, dts)
         except SolverError as exc:
             fail(active[exc.member], str(exc))
-        # Each member's exponent stays a Python float: np.power has fast
-        # paths for a scalar exponent (square, sqrt) that an array one skips.
-        # Mixed m raise each row of one clamped copy in place, as _mobility
-        # would raise that member alone.
-        if plan.m is not None:
-            mob = _mobility(values, plan.m)
-        else:
-            mob = np.maximum(values, 0.0)
-            for row, m in zip(mob, plan.ms):
-                np.power(row, m, out=row)
         dissipation = _dissipation_density(plan.stencil, mob, faces).tolist()
-        values, worst = _euler_update(plan, values, mob, faces, dts)
-        lowest = min(worst)
-        if lowest < -_NEGATIVITY_GUARD:
-            fail(active[worst.index(lowest)], _negativity(lowest))
         if not np.isfinite(values).all():
             r = np.isfinite(values).all(axis=grid.axes).tolist().index(False)
             fail(active[r], f"non-finite values at t = {t[active[r]] + dts[r]:.6g}")
@@ -804,10 +803,7 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
     st = _stencil(grid)
     profiles = functools.reduce(np.multiply, factors)
     prof = flat(profiles).T
-    dprof = [
-        flat(np.concatenate((profiles[head], profiles[tail]), axis) - profiles).T / grid.h
-        for axis, (head, tail), _ in st.neighbours
-    ]
+    dprof = [flat(ax.next(profiles) - profiles).T / grid.h for ax in st.axes]
     lprof = flat(_laplacian(st, profiles)).T * eps if eps > 0.0 else None
 
     kap = np.asarray(kappas, dtype=float).reshape((-1,) + (1,) * grid.dim)
@@ -825,12 +821,12 @@ def entropy_residual(traj: Trajectory, cfg: SolverConfig, kappas: Sequence[float
         gap = u - kap
         eta = np.abs(gap)
         sgn = np.sign(gap)
-        q = sgn * (_mobility(u, m) - km)
+        q = sgn * (_mobility(u[None], [m])[0] - km)
         z = -sgn * km * (u - ubar)
         pairs[0] = flat(eta) @ prof
         pairs[1] = flat(z) @ prof
-        for neighbour, w, dp in zip(st.neighbours, faces, dprof):
-            pairs[1] -= flat(_upwind_face_values(q, w, neighbour) * w) @ dp
+        for ax, w, dp in zip(st.axes, faces, dprof):
+            pairs[1] -= flat(_upwind_face_values(q, w, ax) * w) @ dp
         if lprof is not None:
             pairs[1] += flat(eta) @ lprof
         totals += weights[n] @ pairs.reshape(2, -1)

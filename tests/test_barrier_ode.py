@@ -139,7 +139,8 @@ class TestPhi:
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(params=barrier_params(), t1=st.floats(0.001, 5.0), t2=st.floats(0.0, 5.0))
 def test_barrier_ode_properties(params, t1, t2):
-    """Semigroup identity, monotonicity on beta's side and envelope containment.
+    """Semigroup identity, monotonicity on beta's side and envelope containment,
+    the fast-diffusion lower barrier (m < 1) and the sup regularization included.
 
     Relative tolerances stop at the smallest normal float: a subnormal beta
     carries fewer than 52 bits, so no float evaluation is relatively exact there.
@@ -157,6 +158,10 @@ def test_barrier_ode_properties(params, t1, t2):
     lo, hi = phi_envelopes(params, ts)
     assert np.all(vals >= lo * (1 - 1e-12) - tiny)
     assert np.all(vals <= hi * (1 + 1e-12) + tiny)
+    if m < 1:
+        assert np.all(vals >= lower_barrier(ubar, m, beta, ts) * (1 - 1e-12) - tiny)
+    positive = ts > 0
+    assert np.all(vals[positive] <= upper_regularization(ubar, m, ts[positive]) * (1 + 1e-12) + tiny)
 
 
 class TestEnvelopes:
@@ -215,8 +220,14 @@ class TestLowerBarrier:
         assert lower_barrier(1.0, 0.5, 0.0, 0.0) == 0.0
 
     def test_small_time_power_law(self):
+        # ((1 - m) ubar t / 2)^(1/(1-m)), below tanh^2(t/2) ~ t^2 / 4
         t = 0.01
-        assert lower_barrier(1.0, 0.5, 0.0, t) == pytest.approx(t**2 / 4, rel=1e-12)
+        assert lower_barrier(1.0, 0.5, 0.0, t) == pytest.approx((0.5 * t / 2) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("m, t", [(0.5, 1.0), (0.9, 4.0)])
+    def test_below_the_comparison_curve(self, m, t):
+        # at m = 1/2 the curve from 0 is tanh^2(t/2) = 0.2135 at t = 1
+        assert lower_barrier(1.0, m, 0.0, t) <= phi(BarrierParams(1.0, 0.0, m), t)
 
     def test_saturates_at_mass(self):
         assert lower_barrier(1.0, 0.5, 0.0, 200.0) == pytest.approx(1.0, abs=1e-9)

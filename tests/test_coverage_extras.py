@@ -243,7 +243,7 @@ class TestSmallGaps:
             u = ScalarField(g, 1 + 0.4 * np.cos(2 * np.pi * x))
             faces = coulomb_field(u, "face")
             from_faces = (
-                _dissipation_density(_stencil(g), _mobility(u.values, 2.0), faces)
+                _dissipation_density(_stencil(g), _mobility(u.values[None], [2.0]), faces)[0]
                 * g.cell_measure
             )
             v = coulomb_field(u)[0]

@@ -19,6 +19,7 @@ from coulombflow.suites import cosine_run, cosine_runs
 from coulombflow.torus_field import (
     ScalarField,
     coulomb_drift,
+    half_spectrum,
     interaction_energy,
     lp_norm,
     make_grid,
@@ -186,6 +187,37 @@ class TestStep:
         u.values[3] = -1e-14
         with pytest.raises(SolverError, match="^initial data must be nonnegative$"):
             step(u, 1e-3, SolverConfig(m=2.0))
+
+    # step() and run_batch take the same kernel: one step of a run to
+    # t_end = dt lands on step's update, bit for bit
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("eps", [0.0, "auto"])
+    def test_equals_one_step_of_run(self, dim, m, eps):
+        if dim == 1:
+            u = cosine(64)
+        else:
+            g = make_grid(2, 32)
+            x, y = g.coordinates()
+            u = ScalarField(g, 1 + 0.4 * np.cos(2 * np.pi * x) + 0.2 * np.sin(2 * np.pi * (x + 2 * y)))
+        cfg = SolverConfig(m=m, epsilon=eps)
+        dt = cfl_dt(u, cfg)
+        want = run(u, dataclasses.replace(cfg, t_end=dt)).snapshots[-1][1].values
+        got = step(u, dt, cfg).values
+        assert [float.hex(v) for v in got.ravel().tolist()] == [
+            float.hex(v) for v in want.ravel().tolist()
+        ]
+
+    def test_kernel_guard_names_the_lowest_row(self):
+        # far past their bound rows 0 and 2 go negative beyond roundoff; the
+        # guard names the row with the lowest minimum, not the first one
+        u = cosine(32)
+        values = np.stack([u.values, 1 + 0.9 * (u.values - 1), u.values])
+        faces = coulomb_drift(u.grid, half_spectrum(u.grid, values))
+        plan = pde_solver._step_plan(u.grid, [2.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+        with pytest.raises(SolverError, match="^negativity beyond roundoff") as exc:
+            pde_solver._euler_update(plan, values, faces, [20.0, 1.0, 50.0])
+        assert exc.value.member == 2
 
 
 class TestRun:

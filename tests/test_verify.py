@@ -57,6 +57,15 @@ class TestBarrierChecks:
         by_id = {r.check_id: r for r in results}
         assert by_id["fast-diffusion-lower-barrier"].status == "pass"
 
+    def test_fast_diffusion_lower_barrier_from_near_zero_minimum(self):
+        # a minimum of 1e-5 follows the comparison curve from ~0, tanh^2(t/2)
+        # at m = 1/2; a barrier above that curve failed here by +0.164
+        g = make_grid(1, 128)
+        u0 = ScalarField(g, 1 + 0.99999 * np.cos(2 * np.pi * g.axis_coordinates()))
+        cfg = SolverConfig(m=0.5, epsilon=0.0, t_end=2.0, output_times=np.linspace(0.05, 2.0, 40))
+        by_id = {r.check_id: r for r in check_barriers(run(u0, cfg))}
+        assert by_id["fast-diffusion-lower-barrier"].status == "pass"
+
     def test_constant_run_degenerate_equality(self):
         results = check_barriers(constant_run())
         assert all(r.status == "pass" for r in results)
