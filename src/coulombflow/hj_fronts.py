@@ -2,22 +2,25 @@
 
 Piecewise-linear profiles k(t, s) whose breakpoints move by Rankine-Hugoniot
 shock speeds solve the rearranged equation dk/dt + (ds k)_+^m (k - s ubar) = 0
-exactly: a single-vortex profile (one rising ramp between two plateaus), a
-two-vortex profile (two ramps), and a four-piece supersolution whose middle
-ramp follows the power map u -> u^(m/(m-1)).  All front positions obey small
-ODE systems integrated here with fixed-step RK4 plus cubic Hermite dense
-output, and the piecewise profiles support finite-difference viscosity
-residual checks away from the kinks.
+exactly: a chain of rising ramps between plateaus, whose one-ramp member is
+the single vortex and two-ramp member the two vortex, and a four-piece
+supersolution whose middle ramp follows the power map u -> u^(m/(m-1)).  All
+front positions obey small ODE systems integrated here with fixed-step RK4
+plus cubic Hermite dense output, and the piecewise profiles support
+finite-difference viscosity residual checks away from the kinks.
 
 Each system is described once, by its state class: `MOVING` names the
 fronts its ODE moves (in trajectory column order), `kinks` lists the
 interfaces where the profile is not smooth, and `k(s)` evaluates the
-profile.  FRONT_SYSTEMS maps each `fronts.mode` to its state class and
-integrator; everything else reads those members.
+profile, a scalar s as a one-element array.  The two vortex states share
+one chain description (`_VortexChain`) and one chain integrator.
+FRONT_SYSTEMS maps each `fronts.mode` to its state class and integrator;
+everything else reads those members.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
@@ -61,11 +64,65 @@ class FrontIntegrationError(RuntimeError):
         self.t_reached = t_reached
 
 
+def _on_arrays(rule: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """A profile's k(s) from its rule on arrays of at least one dimension.
+
+    A scalar s is evaluated as a one-element array and returned as a float,
+    so a point gives the same bits alone as inside an array: numpy's scalar
+    and array powers can differ in the last bit.
+    """
+
+    @functools.wraps(rule)
+    def k(self, s):
+        s = np.asarray(s, dtype=float)
+        out = rule(self, s if s.ndim else s.reshape(1))
+        return out if s.ndim else float(out[0])
+
+    return k
+
+
+class _VortexChain:
+    """Rising ramps between plateaus, the vortex profiles described once.
+
+    `_plateaus` are the plateau masses in units of ubar, from 0 to 1.  Ramp
+    j rises from plateau j to plateau j + 1 between the fronts MOVING[2j]
+    and MOVING[2j + 1], which move toward those plateaus at the rate
+    f^(m-1) ubar^m / gap^(m-1) of the ramp's mass fraction f.  The single
+    vortex is the one-ramp chain (0, 1), the two vortex (0, alpha, 1).
+    """
+
+    MOVING: ClassVar[tuple[str, ...]]
+    _plateaus: tuple[float, ...]
+
+    def _check_ubar_m(self):
+        if not self.ubar > 0:
+            raise ValueError("ubar must be positive")
+        if not self.m >= 1:
+            raise ValueError(f"front systems require m >= 1, got {self.m}")
+
+    @property
+    def kinks(self) -> np.ndarray:
+        return np.array([getattr(self, name) for name in self.MOVING])
+
+    @_on_arrays
+    def k(self, s: np.ndarray) -> np.ndarray:
+        """Plateaus at p ubar for each plateau mass p, joined by the ramps."""
+        fronts = self.kinks
+        levels = [p * self.ubar for p in self._plateaus]
+        out = levels[-1]
+        for j in reversed(range(len(levels) - 1)):
+            a, b = fronts[2 * j], fronts[2 * j + 1]
+            ramp = (levels[j + 1] - levels[j]) / (b - a) * (s - a) + levels[j]
+            out = np.where(s < a, levels[j], np.where(s < b, ramp, out))
+        return out
+
+
 @dataclass(frozen=True)
-class SingleVortexState:
+class SingleVortexState(_VortexChain):
     """One ramp of slope ubar / (s2 - s1) between a zero and a full plateau."""
 
     MOVING: ClassVar[tuple[str, ...]] = ("s1", "s2")
+    _plateaus: ClassVar[tuple[float, ...]] = (0.0, 1.0)
 
     s1: float
     s2: float
@@ -75,25 +132,11 @@ class SingleVortexState:
     def __post_init__(self):
         if not (0.0 <= self.s1 < self.s2 <= 1.0):
             raise ValueError(f"need 0 <= s1 < s2 <= 1, got ({self.s1}, {self.s2})")
-        if not self.ubar > 0:
-            raise ValueError("ubar must be positive")
-        if not self.m >= 1:
-            raise ValueError(f"front systems require m >= 1, got {self.m}")
-
-    @property
-    def kinks(self) -> np.ndarray:
-        return np.array([self.s1, self.s2])
-
-    def k(self, s) -> np.ndarray:
-        """Three-piece profile: 0, a ramp of slope ubar / (s2 - s1), plateau at the mass."""
-        s = np.asarray(s, dtype=float)
-        ramp = self.ubar / (self.s2 - self.s1) * (s - self.s1)
-        out = np.where(s < self.s1, 0.0, np.where(s < self.s2, ramp, self.ubar))
-        return out if out.ndim else float(out)
+        self._check_ubar_m()
 
 
 @dataclass(frozen=True)
-class TwoVortexState:
+class TwoVortexState(_VortexChain):
     """Two ramps carrying mass fractions alpha and 1 - alpha."""
 
     MOVING: ClassVar[tuple[str, ...]] = ("s1", "s2", "s3", "s4")
@@ -109,37 +152,13 @@ class TwoVortexState:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (
-            0.0 <= self.s1 < self.s2 <= self.alpha <= self.s3 < self.s4 <= 1.0
-        ):
-            raise ValueError(
-                "ordering 0 <= s1 < s2 <= alpha <= s3 < s4 <= 1 violated"
-            )
-        if not self.ubar > 0:
-            raise ValueError("ubar must be positive")
-        if not self.m >= 1:
-            raise ValueError(f"front systems require m >= 1, got {self.m}")
+        if not (0.0 <= self.s1 < self.s2 <= self.alpha <= self.s3 < self.s4 <= 1.0):
+            raise ValueError("ordering 0 <= s1 < s2 <= alpha <= s3 < s4 <= 1 violated")
+        self._check_ubar_m()
 
     @property
-    def kinks(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3, self.s4])
-
-    def k(self, s) -> np.ndarray:
-        """Five-piece profile with plateaus at 0, alpha * ubar, and ubar."""
-        s = np.asarray(s, dtype=float)
-        au = self.alpha * self.ubar
-        ramp1 = au * (s - self.s1) / (self.s2 - self.s1)
-        ramp2 = (self.ubar - au) * (s - self.s3) / (self.s4 - self.s3) + au
-        out = np.where(
-            s < self.s1,
-            0.0,
-            np.where(
-                s < self.s2,
-                ramp1,
-                np.where(s < self.s3, au, np.where(s < self.s4, ramp2, self.ubar)),
-            ),
-        )
-        return out if out.ndim else float(out)
+    def _plateaus(self) -> tuple[float, ...]:
+        return (0.0, self.alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -189,20 +208,19 @@ class SupersolutionState:
     def kinks(self) -> np.ndarray:
         return np.array([self.s1, self.s2, self.s3])
 
-    def k(self, s) -> np.ndarray:
+    @_on_arrays
+    def k(self, s: np.ndarray) -> np.ndarray:
         """Four-piece profile whose middle ramp follows sigma(u) = u^(m/(m-1))."""
-        s = np.asarray(s, dtype=float)
         ubar, alpha = self.ubar, self.alpha
         gap = self.s3 - self.s2
         u = np.clip((s - self.s2) / gap, 0.0, 1.0)
         sigma = u ** (self.m / (self.m - 1.0))
         ramp = sigma * (1.0 - alpha) * ubar + alpha * ubar
-        out = np.where(
+        return np.where(
             s <= self.s1,
             s / self.C,
             np.where(s <= self.s2, alpha * ubar, np.where(s <= self.s3, ramp, ubar)),
         )
-        return out if out.ndim else float(out)
 
 
 @dataclass
@@ -315,23 +333,42 @@ def _rk4_integrate(
     return FrontTrajectory(np.array(ts), np.array(ys), np.array(ds), init, halted_at=halted)
 
 
-def integrate_single_vortex(init: SingleVortexState, t_end: float) -> FrontTrajectory:
-    """Track the shock pair of the single-vortex profile until t_end."""
-    m = init.m
+def _integrate_chain(init: _VortexChain, t_end: float) -> FrontTrajectory:
+    """RK4 on the fronts of a vortex chain until t_end or a halt.
+
+    It halts when a ramp's gap collapses or a front leaves the span of its
+    ramp's plateaus.
+    """
+    m, p = init.m, init._plateaus
     um = init.ubar**m
+    # (column of the ramp's first front, its plateaus, f^(m-1) ubar^m)
+    ramps = tuple(
+        (2 * j, lo, hi, (hi - lo) ** (m - 1.0) * um) for j, (lo, hi) in enumerate(zip(p, p[1:]))
+    )
 
     def rhs(y):
-        s1, s2 = y
-        denom = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
-        return (-um * s1 / denom, um * (1.0 - s2) / denom), um / denom
+        velocities, rate = (), None
+        for j, lo, hi, fac in ramps:
+            a, b = y[j], y[j + 1]
+            denom = max(b - a, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
+            velocities += (fac * (lo - a) / denom, fac * (hi - b) / denom)
+            r = fac / denom
+            if rate is None or r > rate:  # as max(first, ...): a NaN first rate stays
+                rate = r
+        return velocities, rate
 
-    traj = _rk4_integrate(
-        rhs,
-        init,
-        t_end,
-        gap_of=lambda y: y[1] - y[0],
-        valid=lambda y: 0.0 - 1e-12 <= y[0] < y[1] <= 1.0 + 1e-12,
+    def valid(y):
+        tol = 1e-12
+        return all(lo - tol <= y[j] < y[j + 1] <= hi + tol for j, lo, hi, _ in ramps)
+
+    return _rk4_integrate(
+        rhs, init, t_end, gap_of=lambda y: min(y[j + 1] - y[j] for j, *_ in ramps), valid=valid
     )
+
+
+def integrate_single_vortex(init: SingleVortexState, t_end: float) -> FrontTrajectory:
+    """Track the shock pair of the single-vortex profile until t_end."""
+    traj = _integrate_chain(init, t_end)
     if traj.halted_at is not None:
         raise FrontIntegrationError(
             f"single-vortex ordering lost at t = {traj.halted_at:.6g}", t_reached=traj.halted_at
@@ -341,33 +378,7 @@ def integrate_single_vortex(init: SingleVortexState, t_end: float) -> FrontTraje
 
 def integrate_two_vortex(init: TwoVortexState, t_end: float) -> FrontTrajectory:
     """Track the four shocks of the two-vortex profile on its maximal interval."""
-    ubar, m, alpha = init.ubar, init.m, init.alpha
-    a_fac = alpha ** (m - 1.0) * ubar**m
-    b_fac = (1.0 - alpha) ** (m - 1.0) * ubar**m
-
-    def rhs(y):
-        s1, s2, s3, s4 = y
-        d12 = max(s2 - s1, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
-        d34 = max(s4 - s3, _GAP_FLOOR) ** (m - 1.0) or _IEEE_ZERO
-        velocities = (
-            -a_fac * s1 / d12,
-            a_fac * (alpha - s2) / d12,
-            b_fac * (alpha - s3) / d34,
-            b_fac * (1.0 - s4) / d34,
-        )
-        return velocities, max(a_fac / d12, b_fac / d34)
-
-    def valid(y):
-        s1, s2, s3, s4 = y
-        tol = 1e-12
-        return (
-            -tol <= s1 < s2 <= alpha + tol <= s3 + 2 * tol
-            and alpha - tol <= s3 < s4 <= 1.0 + tol
-        )
-
-    return _rk4_integrate(
-        rhs, init, t_end, gap_of=lambda y: min(y[1] - y[0], y[3] - y[2]), valid=valid
-    )
+    return _integrate_chain(init, t_end)
 
 
 def _hit_time(traj: FrontTrajectory, value_of: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -579,6 +590,29 @@ def m1_front_errors(t_single: float, t_two: float) -> tuple[float, float]:
     return float(err_single), float(err_two)
 
 
+def _envelope_samples(
+    traj: FrontTrajectory, t_first: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    """The supersolution fronts on n log-spaced times from t_first to the end.
+
+    The end is that of the integration, or its halt.  Returns s2 and s3, the
+    scale ubar t^(1/m), the advance factor (1 - alpha)^((m-1)/m), and the
+    masks of the windows t <= t_star and t <= min(t_star, t_upper).
+    """
+    state = traj.state0
+    m = state.m
+    ts = np.geomspace(t_first, min(traj.t_end, traj.halted_at or math.inf), n)
+    s2, s3 = np.array([traj.interpolate(t) for t in ts]).T
+    return (
+        s2,
+        s3,
+        state.ubar * ts ** (1.0 / m),
+        (1.0 - state.alpha) ** ((m - 1.0) / m),
+        ts <= traj.t_star,
+        ts <= min(traj.t_star, traj.t_upper),
+    )
+
+
 def envelope_margins(traj: FrontTrajectory) -> dict[str, float]:
     """Largest violation of each t^(1/m) envelope of the supersolution fronts.
 
@@ -589,28 +623,15 @@ def envelope_margins(traj: FrontTrajectory) -> dict[str, float]:
     A value <= 0 means its bound holds.
     """
     state = traj.state0
-    m = state.m
-    consts = FRONT_BOUND_CONSTANTS[m]
-    t_hi = min(traj.t_end, traj.halted_at or math.inf)
-    ts = np.geomspace(1e-4, t_hi, 60)
-    pos = np.array([traj.interpolate(t) for t in ts])
-    s2, s3 = pos[:, 0], pos[:, 1]
-    scale = state.ubar * ts ** (1.0 / m)
-    afac = (1.0 - state.alpha) ** ((m - 1.0) / m)
-    star = ts <= traj.t_star
-    both = ts <= min(traj.t_star, traj.t_upper)
-    return {
-        "retreat": float(
-            np.max((state.s2 - s2[star]) - 1.05 * consts["c_retreat"] * scale[star])
-        ),
-        "advance": float(
-            np.max((state.s3 + 0.95 * consts["c_advance"] * afac * scale[both]) - s3[both])
-        ),
-        "spread": float(np.max(s3 - (state.s3 + 1.05 * consts["c_spread"] * scale))),
-        "gap": float(
-            np.max(0.95 * consts["c_gap"] * (1 - state.alpha) * scale[both] - (s3[both] - s2[both]))
-        ),
+    c = FRONT_BOUND_CONSTANTS[state.m]
+    s2, s3, scale, afac, star, both = _envelope_samples(traj, 1e-4, 60)
+    violations = {
+        "retreat": (state.s2 - s2[star]) - 1.05 * c["c_retreat"] * scale[star],
+        "advance": (state.s3 + 0.95 * c["c_advance"] * afac * scale[both]) - s3[both],
+        "spread": s3 - (state.s3 + 1.05 * c["c_spread"] * scale),
+        "gap": 0.95 * c["c_gap"] * (1 - state.alpha) * scale[both] - (s3[both] - s2[both]),
     }
+    return {name: float(np.max(v)) for name, v in violations.items()}
 
 
 # --- one-time calibration of the front-tracking constants --------------------
@@ -656,30 +677,20 @@ def calibrate_front_constants(m: float) -> dict[str, float]:
     }
     for state in configs:
         traj = integrate_supersolution(state, 2.0)
-        t_hi = min(traj.t_end, traj.halted_at or math.inf)
-        ts = np.geomspace(1e-5, t_hi, 200)
-        pos = np.array([traj.interpolate(t) for t in ts])
-        s2, s3 = pos[:, 0], pos[:, 1]
-        scale = state.ubar * ts ** (1.0 / m)
-        in_star = ts <= min(traj.t_star, t_hi)
-        in_both = ts <= min(traj.t_star, traj.t_upper, t_hi)
-        if np.any(in_star):
-            out["c_retreat"] = max(
-                out["c_retreat"], float(np.max((state.s2 - s2[in_star]) / scale[in_star]))
-            )
-        if np.any(in_both):
-            afac = (1.0 - state.alpha) ** ((m - 1.0) / m)
-            out["c_advance"] = min(
-                out["c_advance"],
-                float(np.min((s3[in_both] - state.s3) / (afac * scale[in_both]))),
-            )
-            out["c_gap"] = min(
-                out["c_gap"],
-                float(
-                    np.min((s3[in_both] - s2[in_both]) / ((1.0 - state.alpha) * scale[in_both]))
-                ),
-            )
-        out["c_spread"] = max(out["c_spread"], float(np.max((s3 - state.s3) / scale)))
+        s2, s3, scale, afac, in_star, in_both = _envelope_samples(traj, 1e-5, 200)
+        # an empty window leaves its constants as they are
+        largest = {
+            "c_retreat": (state.s2 - s2[in_star]) / scale[in_star],
+            "c_spread": (s3 - state.s3) / scale,
+        }
+        smallest = {
+            "c_advance": (s3[in_both] - state.s3) / (afac * scale[in_both]),
+            "c_gap": (s3[in_both] - s2[in_both]) / ((1.0 - state.alpha) * scale[in_both]),
+        }
+        for name, ratio in largest.items():
+            out[name] = max(out[name], float(np.max(ratio, initial=-math.inf)))
+        for name, ratio in smallest.items():
+            out[name] = min(out[name], float(np.min(ratio, initial=math.inf)))
         if math.isfinite(traj.t_star):
             out["c_tstar"] = min(
                 out["c_tstar"],

@@ -76,8 +76,8 @@ class SolverConfig:
     """Parameters of one integration run, checked once when built.
 
     epsilon = "auto" resolves to the cell width h when the run starts.
-    Snapshots are taken at the output_times, each in [1e-12, t_end], and at
-    t_end >= 1e-12.  The advective and viscous step bounds are each scaled by
+    Snapshots are taken at the output_times, each in [1e-12, t_end + 1e-12],
+    and at t_end >= 1e-12.  The advective and viscous step bounds are each scaled by
     cfl and the update is monotone only while they sum to at most 1, so a
     positive viscosity ("auto" included, since h > 0) needs cfl <= 0.5; with
     epsilon = 0, cfl may go up to 1.  The rule that m < 1 needs a positive
@@ -107,10 +107,12 @@ class SolverConfig:
                 f"record_every must be a finite integer >= 1, got {self.record_every!r}"
             )
         times = self.output_times
+        t_last = self.t_end + _TIME_RESOLUTION
         if not isinstance(times, (list, tuple, np.ndarray)) or not all(
-            is_number(t) and _TIME_RESOLUTION <= t <= self.t_end for t in times
+            is_number(t) and _TIME_RESOLUTION <= t <= t_last for t in times
         ):
-            raise ValueError(f"output_times must be numbers in [{_TIME_RESOLUTION:g}, t_end]")
+            res = f"{_TIME_RESOLUTION:g}"
+            raise ValueError(f"output_times must be numbers in [{res}, t_end + {res}]")
         auto = self.epsilon == "auto"
         if not (auto or (is_number(self.epsilon) and self.epsilon >= 0)):
             raise ValueError(

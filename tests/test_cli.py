@@ -88,6 +88,11 @@ MALFORMED = [
         "simulate", sim_doc("solver", output_times=[0.1, 2.0, -1.0]), "solver", "output_times",
         id="solver.output_times-outside",
     ),
+    # output times may pass t_end by at most the time resolution, 1e-12
+    pytest.param(
+        "simulate", sim_doc("solver", output_times=[0.1, 0.5 + 2e-12]), "solver", "output_times",
+        id="solver.output_times-past-resolution",
+    ),
     # snapshot files are named by %.6f of their time: colliding names are rejected
     pytest.param(
         "simulate", sim_doc("solver", output_times=[0.1, 0.1000002]), "solver", "output_times",
@@ -534,6 +539,19 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         _, cols = read_csv(out / "u_0.000000.csv")
         assert cols["value"] == pytest.approx(vals)
+
+    def test_arange_schedule_one_ulp_past_t_end_runs(self, tmp_path):
+        # the last of np.arange(1, 12) * (0.2 / 11) is 0.2 + 2.8e-17
+        times = (np.arange(1, 12) * (0.2 / 11)).tolist()
+        assert times[-1] > 0.2
+        doc = sim_doc("solver", t_end=0.2, output_times=times)
+        cfg = write_config(tmp_path / "c.json", doc)
+        loaded = load_config(cfg)
+        assert loaded.solver.output_schedule() == times
+        snapshots = run(loaded.u0, loaded.solver).snapshots
+        assert [t for t, _ in snapshots] == [0.0, *times]
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "u_0.200000.csv").exists()
 
     def test_colliding_snapshot_names_rejected_before_the_run(self, tmp_path, capsys):
         # 0.05 and 0.0500002 both print as u_0.050000.csv

@@ -157,6 +157,10 @@ _RK4_CASES = [
     pytest.param(SingleVortexState(0.25, 0.75, 1.0, 1.0), 2.0, id="single-m1"),
     pytest.param(SingleVortexState(0.2, 0.6, 1.0, 2.0), 2.0, id="single-m2"),
     pytest.param(TwoVortexState(0.1, 0.3, 0.7, 0.9, 0.5, 1.0, 2.0), 0.8, id="two-vortex"),
+    # unequal mass fractions and ubar != 1: swapping the ramps' fractions or dropping ubar shows
+    pytest.param(
+        TwoVortexState(0.05, 0.2, 0.4, 0.8, 0.3, 1.5, 3.0), 1.0, id="two-vortex-uneven"
+    ),
     pytest.param(COMPARISON_STATE, 1.0, id="supersolution"),
     # ubar^m underflows to 0: every rate is 0 and the fronts stand still
     pytest.param(SingleVortexState(0.25, 0.75, 1e-3, 200.0), 0.01, id="single-rate-zero"),
@@ -302,6 +306,17 @@ class TestSupersolution:
         s_grid = np.linspace(0, 1, 301)
         vals = st.k(s_grid)
         assert np.all(np.diff(vals) >= -1e-12)
+
+    @pytest.mark.parametrize("m", [2.0, 3.0, 4.0])
+    def test_scalar_k_matches_array_k(self, m):
+        # the ramp's power u^(m/(m-1)) may differ in the last bit between
+        # numpy's scalar and array paths; k evaluates a scalar as an array
+        traj = envelope_front(m)
+        st = traj.state_at(min(traj.t_star, traj.t_end) / 2)  # t_star is inf at m = 4
+        grid = np.linspace(st.s2, st.s3, 1000)
+        alone = [st.k(s) for s in grid]
+        assert all(type(k) is float for k in alone)
+        assert st.k(grid).tolist() == alone
 
     def test_residual_supersolution_sign(self):
         traj = integrate_supersolution(COMPARISON_STATE, 0.5)
