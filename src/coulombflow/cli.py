@@ -5,8 +5,10 @@ Subcommands: simulate (one integration run, CSV/SVG artifacts), fronts
 plot (CSV columns to an SVG line chart).  Exit codes: 0 success, 1
 verification failure, 2 usage or configuration error, a front system that
 loses its ordering, or a failed output write.  verify runs its suite's
-tasks one after another; `--jobs` admits only 1 and is kept for callers
-that pass it.
+tasks on every usable core, pulled from one queue by the main process and
+a forked child per further core (suites.run_suite); the report does not
+depend on the core count, and no flag sets it.  `--jobs` admits only 1,
+sets nothing, and is kept for callers that pass it.
 simulate writes its per-snapshot u_<t>.csv and k_<t>.csv files while the
 solver steps: each snapshot goes to a forked child as it lands, with up to
 one child per usable core but the solver's, and the snapshots still queued
@@ -21,12 +23,12 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from coulombflow.config import ConfigError, load_config
 from coulombflow.csvio import format_cells, read_csv, write_csv
+from coulombflow.forking import Children, usable_cores
 from coulombflow.hj_fronts import FRONT_SYSTEMS, FrontIntegrationError
 from coulombflow.pde_solver import SolverError, _grad_sup, run
 from coulombflow.rearrangement import rearrange, support_measure, support_threshold
@@ -65,12 +67,6 @@ def _write_snapshots(out_dir, snapshots, u_header, u_grid, s_cells) -> None:
         )
 
 
-def _usable_cores() -> int:
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _write_while_stepping(u0, solver, write):
     """Return run(u0, solver), writing its snapshots with write(share) meanwhile.
 
@@ -81,41 +77,15 @@ def _write_while_stepping(u0, solver, write):
     dealt out round-robin to the main process and the free slots, one
     process per core.  Where os.fork is missing, or with one core, the main
     process writes them all after the run.  The children share the snapshots
-    copy-on-write and leave by os._exit, never unwinding into the caller.
-    Every child is reaped, also when the run or a write fails, and a child
-    that exits nonzero raises OSError naming its time tags, at the latest
-    when the run ends.
+    copy-on-write.  Every child is reaped, also when the run or a write
+    fails, and a child that exits nonzero raises OSError naming its time
+    tags, at the latest when the run ends.
     """
-    slots = _usable_cores() - 1
-    queue, children = [], {}
-
-    def spawn(share):
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on a fork while BLAS pool threads exist;
-            # the child only formats and writes files and leaves by os._exit.
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded")
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                write(share)
-                code = 0
-            except BaseException:
-                # os._exit below drops the exception: print it here
-                sys.excepthook(*sys.exc_info())
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
-        children[pid] = share
+    slots = usable_cores() - 1
+    queue, writers = [], Children()
 
     def reap(flags):
-        failed = []
-        for pid in list(children):
-            done, status = os.waitpid(pid, flags)
-            if done:
-                share = children.pop(pid)
-                if status != 0:
-                    failed += share
+        failed = [snap for share in writers.reap(flags) for snap in share]
         if failed:
             tags = ", ".join(_t_tag(t) for t, _ in failed)
             raise OSError(f"writing the snapshot files at t = {tags} failed in a child process")
@@ -123,21 +93,20 @@ def _write_while_stepping(u0, solver, write):
     def hand_over(member, t, field):
         queue.append((t, field))
         reap(os.WNOHANG)
-        while queue and len(children) < slots:
-            spawn([queue.pop(0)])
+        while queue and len(writers) < slots:
+            writers.spawn(write, [queue.pop(0)])
 
     try:
         traj = run(u0, solver, on_snapshot=hand_over)
         reap(os.WNOHANG)
-        workers = min(1 + slots - len(children), len(queue))
+        workers = min(1 + slots - len(writers), len(queue))
         for i in range(1, workers):
-            spawn(queue[i::workers])
+            writers.spawn(write, queue[i::workers])
         if queue:
             write(queue[::workers])
         reap(0)
     finally:
-        for pid in children:
-            os.waitpid(pid, 0)
+        writers.close(kill=False)
     return traj
 
 

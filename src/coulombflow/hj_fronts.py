@@ -63,6 +63,10 @@ class FrontIntegrationError(RuntimeError):
         super().__init__(message)
         self.t_reached = t_reached
 
+    def __reduce__(self):
+        # whole through pickle, as a suite task's error comes back from a child
+        return type(self), (str(self), self.t_reached)
+
 
 def _on_arrays(rule: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     """A profile's k(s) from its rule on arrays of at least one dimension.

@@ -10,15 +10,20 @@ one pde_solver.run_batch batch; each trajectory is bit-identical to the
 member run alone.
 
 A suite is a list of independent tasks, each producing CheckResults from
-fresh simulations or front integrations; they run one after another and
-results are reported in task order, keeping reports byte-deterministic.  In
-theorem-suite-small the four cosine members (m = 0.5, 1, 2, 4) are one
-task, which reports their checks in that order.
+fresh simulations or front integrations.  The usable cores pull them from
+one queue, and results are reported in task order, so reports are
+byte-deterministic and do not depend on the core count; no flag, config
+key or environment variable sets it.  In theorem-suite-small the four
+cosine members (m = 0.5, 1, 2, 4) are one task, which reports their checks
+in that order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import pickle
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +43,7 @@ from coulombflow.hj_fronts import (
     smooth_samples,
     viscosity_residual,
 )
+from coulombflow.forking import Children, usable_cores
 from coulombflow.initial_conditions import build_initial_condition
 from coulombflow.pde_solver import SolverConfig, Trajectory, run, run_batch
 from coulombflow.rearrangement import (
@@ -298,11 +304,11 @@ def _negative_control() -> list[CheckResult]:
 
 def _small_suite_tasks(n: int) -> list[Callable[[], list[CheckResult]]]:
     return [
-        lambda: _task_cosine_checks(n),
-        lambda: _task_weak_strong(n),
+        functools.partial(_task_cosine_checks, n),
+        functools.partial(_task_weak_strong, n),
         _task_front_exactness,
         _task_supersolution_bounds,
-        lambda: _task_comparison(n),
+        functools.partial(_task_comparison, n),
         _task_waiting_time,
     ]
 
@@ -313,9 +319,103 @@ SUITES = {
     "empty": lambda n: [],
 }
 
+_INDEX_BYTES = 4  # a task index in the queue pipe
+
+
+def _pull(tasks, queue: int, report) -> None:
+    """Run the tasks whose indices this process reads from the queue pipe.
+
+    One index at a time, until the queue is empty or a task raises;
+    report(index, outcome) gets outcome (True, results) or (False, the
+    exception).  A failed task empties the queue, so that no process starts
+    a later task, while the earlier ones, already taken, run to their end.
+    """
+    while True:
+        raw = os.read(queue, _INDEX_BYTES)
+        if not raw:
+            return
+        index = int.from_bytes(raw, "little")
+        try:
+            outcome = (True, tasks[index]())
+        except Exception as exc:
+            outcome = (False, exc)
+        report(index, outcome)
+        if not outcome[0]:
+            while os.read(queue, 4096):
+                pass
+            return
+
+
+def _run_tasks(tasks) -> list[list[CheckResult]]:
+    """Each task's results, in task order, from every usable core.
+
+    The main process and one forked child per further usable core pull the
+    task indices from one queue pipe, so the longest task holds a core of
+    its own while the others share the rest.  Each child pickles
+    (index, outcome) back over a pipe of its own.  The parent reads every
+    pipe to its end before it reaps the children; when it fails itself, it
+    closes the pipes, then kills and reaps them.  The earliest task that
+    failed re-raises its exception here, or OSError naming it if its child
+    died without reporting.  With one usable core, or one task, the tasks
+    run in the main process one after another.
+    """
+    workers = min(usable_cores(), len(tasks))
+    if workers < 2:
+        return [task() for task in tasks]
+    queue, fill = os.pipe()
+    # a suite's few indices fit in the pipe's buffer, so this write returns
+    os.write(fill, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
+    os.close(fill)
+    outcomes, pipes, children = {}, [], Children()
+
+    def serve(out: int) -> None:
+        with os.fdopen(out, "wb") as fh:
+
+            def send(index, outcome):
+                pickle.dump((index, outcome), fh)
+                fh.flush()
+
+            _pull(tasks, queue, send)
+
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                children.spawn(serve, write_end)
+            finally:
+                os.close(write_end)
+        _pull(tasks, queue, outcomes.__setitem__)
+        for read_end in pipes:
+            with os.fdopen(read_end, "rb", closefd=False) as fh:
+                while True:
+                    try:
+                        index, outcome = pickle.load(fh)
+                    except (EOFError, pickle.UnpicklingError):
+                        break  # the child's end, or a message cut short by its death
+                    outcomes[index] = outcome
+        children.reap()
+    finally:
+        for fd in (queue, *pipes):
+            os.close(fd)
+        children.close(kill=True)
+    first_failed = min((i for i, (ok, _) in outcomes.items() if not ok), default=len(tasks))
+    lost = [i for i in range(first_failed) if i not in outcomes]
+    if lost:
+        names = ", ".join(f"{i} ({getattr(tasks[i], 'func', tasks[i]).__name__})" for i in lost)
+        raise OSError(f"suite task {names} ended in a child process without reporting")
+    if first_failed < len(tasks):
+        raise outcomes[first_failed][1]
+    return [outcomes[i][1] for i in range(len(tasks))]
+
 
 def run_suite(name: str, n: int = 128) -> tuple[list[CheckResult], list[str]]:
-    """Execute a named suite; returns (results, warnings)."""
+    """Execute a named suite; returns (results, warnings).
+
+    The suite's tasks are pulled by every usable core (`_run_tasks`), and
+    their results are reported in task order, so the results do not depend
+    on the core count.  No option sets the core count.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     tasks = SUITES[name](n)
@@ -323,5 +423,5 @@ def run_suite(name: str, n: int = 128) -> tuple[list[CheckResult], list[str]]:
     if not tasks:
         warnings.append(f"suite {name!r} contains zero checks")
         return [], warnings
-    results = [r for task in tasks for r in task()]
+    results = [r for task_results in _run_tasks(tasks) for r in task_results]
     return results, warnings

@@ -1,3 +1,4 @@
+import functools
 import glob
 import json
 import math
@@ -8,14 +9,15 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from coulombflow import cli, csvio
+from coulombflow import cli, csvio, suites
 from coulombflow.cli import main
 from coulombflow.csvio import format_cells, read_csv, write_csv
 from coulombflow.config import ConfigError, load_config
 from coulombflow.hj_fronts import integrate_supersolution
-from coulombflow.pde_solver import SolverConfig, _grad_sup, run
+from coulombflow.pde_solver import SolverConfig, SolverError, _grad_sup, run
 from coulombflow.rearrangement import rearrange
 from coulombflow.torus_field import ScalarField, TorusGrid
+from coulombflow.verify import CheckResult
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -274,7 +276,7 @@ MALFORMED = [
 
 
 def watch_writers(monkeypatch):
-    """Count simulate's writer children through os.fork and os.waitpid.
+    """Count the children of simulate's writers or verify's tasks through os.fork and os.waitpid.
 
     live: children forked and not yet reaped; peak: the most live at once;
     forks: children forked; during_run: those forked while cli.run steps.
@@ -334,6 +336,35 @@ def wait_for(path, timeout=30.0):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def probe_suite(monkeypatch, tmp_path, task, count):
+    """Register the suite "probe" of `count` tasks, task i calling task(i); return its config."""
+    monkeypatch.setitem(
+        suites.SUITES, "probe", lambda n: [functools.partial(task, i) for i in range(count)]
+    )
+    return write_config(tmp_path / "probe.json", {"verify": {"suite": "probe"}, "outputs": {}})
+
+
+def probe_result(i):
+    return [CheckResult.from_measurement(f"probe-{i}", 0.0, 0.0, 0.0)]
+
+
+def hold_one_each(marks, i, count):
+    """Mark task i started and wait until all `count` tasks are.
+
+    With as many processes as tasks, each process then holds exactly one.
+    """
+    (marks / str(i)).touch()
+    for j in range(count):
+        wait_for(marks / str(j))
+
+
+def verify_errors(cfg, out, capsys):
+    """Run verify; return its exit code and its `error:` lines."""
+    code = main(["verify", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    return code, [line for line in err.splitlines() if line.startswith("error: ")]
 
 
 class TestConfigValidation:
@@ -789,6 +820,170 @@ class TestVerifyCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
         assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+
+    def test_report_does_not_depend_on_core_count(self, tmp_path, monkeypatch):
+        doc = {"verify": {"suite": "theorem-suite-small", "n": 64}, "outputs": {}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        children = watch_writers(monkeypatch)
+        reports = []
+        for cores in (1, 2, 3, None):
+            if cores is None:
+                monkeypatch.delattr(os, "fork")  # no fork: the main process runs all
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
+            children.update(live=0, peak=0, forks=0)
+            out = tmp_path / f"cores{cores}"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+            if cores is not None:
+                # the main process pulls tasks too: one child per further core
+                assert children["forks"] == children["peak"] == cores - 1
+            assert children["live"] == 0
+            assert_no_child_left()
+            reports.append(json.loads((out / "report.json").read_text()))
+            reports[-1].pop("generated_at")
+        assert len(reports[0]["checks"]) == 60
+        assert all(report == reports[0] for report in reports[1:])
+
+    def test_children_finishing_first_keep_task_order(self, tmp_path, monkeypatch):
+        main_pid, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+        real_pull = suites._pull
+
+        def pull_after_the_child(tasks, queue, report):
+            if os.getpid() == main_pid:
+                wait_for(marks / "child")  # the child takes task 0
+            real_pull(tasks, queue, report)
+
+        def task(i):
+            if os.getpid() == main_pid:
+                # task 1: held until the child has run tasks 0 and 2
+                (marks / f"main-{i}").touch()
+                wait_for(marks / "0")
+                wait_for(marks / "2")
+            elif i == 0:
+                (marks / "child").touch()
+                wait_for(marks / "main-1")  # the main process takes task 1
+            (marks / str(i)).touch()
+            return probe_result(i)
+
+        cfg = probe_suite(monkeypatch, tmp_path, task, 3)
+        monkeypatch.setattr(suites, "_pull", pull_after_the_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert [p.name for p in marks.glob("main-*")] == ["main-1"]
+        report = json.loads((out / "report.json").read_text())
+        assert [c["check_id"] for c in report["checks"]] == ["probe-0", "probe-1", "probe-2"]
+        assert_no_child_left()
+
+    def test_more_processes_than_cores_run_each_task_once(self, tmp_path, monkeypatch):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def task(i):
+            (marks / f"{i}-{os.getpid()}").touch()
+            time.sleep(0.001 * (i % 3))
+            return probe_result(i)
+
+        cfg = probe_suite(monkeypatch, tmp_path, task, 40)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(int(p.name.split("-")[0]) for p in marks.iterdir()) == list(range(40))
+        report = json.loads((out / "report.json").read_text())
+        assert [c["check_id"] for c in report["checks"]] == [f"probe-{i}" for i in range(40)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("share", ["child", "main"])
+    def test_task_error_as_on_one_core(self, tmp_path, monkeypatch, capsys, share):
+        main_pid, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+        failed = tmp_path / "failed"
+
+        def task(i):
+            hold_one_each(marks, i, 2)
+            if (os.getpid() != main_pid) == (share == "child"):
+                failed.write_text(str(i))
+                raise SolverError(f"probe task {i} cannot go on")
+            return probe_result(i)
+
+        cfg = probe_suite(monkeypatch, tmp_path, task, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        children = watch_writers(monkeypatch)
+        code, errors = verify_errors(cfg, tmp_path / "out", capsys)
+        assert children["forks"] == 1
+        assert_no_child_left()
+        bad = int(failed.read_text())
+        assert (code, errors) == (2, [f"error: probe task {bad} cannot go on"])
+
+        def serial_task(i):
+            if i == bad:
+                raise SolverError(f"probe task {i} cannot go on")
+            return probe_result(i)
+
+        cfg = probe_suite(monkeypatch, tmp_path, serial_task, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify_errors(cfg, tmp_path / "serial", capsys) == (code, errors)
+
+    def test_earliest_failing_task_re_raises(self, tmp_path, monkeypatch, capsys):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def task(i):
+            hold_one_each(marks, i, 2)
+            if i == 0:
+                wait_for(marks / "failed-1")  # task 1 fails first
+            else:
+                (marks / "failed-1").touch()
+            raise SolverError(f"probe task {i} cannot go on")
+
+        cfg = probe_suite(monkeypatch, tmp_path, task, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, errors = verify_errors(cfg, tmp_path / "out", capsys)
+        assert (code, errors) == (2, ["error: probe task 0 cannot go on"])
+        assert_no_child_left()
+
+    def test_child_dying_unreported_named_and_no_child_left(self, tmp_path, monkeypatch, capsys):
+        main_pid, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+        died = tmp_path / "died"
+
+        def task(i):
+            hold_one_each(marks, i, 2)
+            if os.getpid() != main_pid:
+                died.write_text(str(i))
+                os._exit(1)
+            return probe_result(i)
+
+        cfg = probe_suite(monkeypatch, tmp_path, task, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, errors = verify_errors(cfg, tmp_path / "out", capsys)
+        assert code == 2 and len(errors) == 1
+        assert f"suite task {died.read_text()} (task)" in errors[0]
+        assert "child process" in errors[0]
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert_no_child_left()
+
+    def test_main_process_failure_kills_a_busy_child(self, tmp_path, monkeypatch):
+        main_pid, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+
+        class Interrupt(BaseException):
+            pass
+
+        def task(i):
+            hold_one_each(marks, i, 2)
+            if os.getpid() == main_pid:
+                raise Interrupt
+            wait_for(marks / "never", timeout=60.0)
+
+        probe_suite(monkeypatch, tmp_path, task, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        t0 = time.monotonic()
+        with pytest.raises(Interrupt):
+            suites.run_suite("probe")
+        assert_no_child_left()
+        assert time.monotonic() - t0 < 30.0
 
     def test_theorem_suite_small_all_pass(self, verify_small_run):
         code, out, err = verify_small_run

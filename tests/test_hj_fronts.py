@@ -1,5 +1,6 @@
 import functools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -461,6 +462,9 @@ class TestResidualMachinery:
     def test_error_carries_reached_time(self):
         err = FrontIntegrationError("gap collapsed", t_reached=0.25)
         assert err.t_reached == 0.25
+        # a suite task's error comes back whole from a forked child
+        back = pickle.loads(pickle.dumps(err))
+        assert (type(back), str(back), back.t_reached) == (FrontIntegrationError, "gap collapsed", 0.25)
 
     def test_interpolate_outside_range(self):
         traj = integrate_single_vortex(SingleVortexState(0.1, 0.6, 1.0, 2.0), 0.5)

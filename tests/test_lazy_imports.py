@@ -3,6 +3,8 @@
 Each case runs in a fresh interpreter and reads `sys.modules` afterwards:
 importing the package and the CLI, `simulate`, `fronts`, `plot` and `verify`
 (whose barrier curves come from a numpy quadrature) leave no scipy module.
+The interpreter is pinned to one core, so that `verify` runs every suite task
+in the process whose modules are read, not in forked children.
 """
 
 import json
@@ -18,10 +20,13 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
 CONFIG_DIR = os.path.join(ROOT, "configs")
 
-# Runs cli.main(argv) when argv (JSON on the command line) is not null and
-# prints the exit code and the scipy modules then loaded as the last line.
+# Pins itself to one usable core, runs cli.main(argv) when argv (JSON on the
+# command line) is not null and prints the exit code and the scipy modules
+# then loaded as the last line.
 PROBE = """
-import json, sys
+import json, os, sys
+if hasattr(os, "sched_setaffinity"):  # without it there is one usable core
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import coulombflow, coulombflow.cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else coulombflow.cli.main(argv)
@@ -81,6 +86,7 @@ def test_plot_loads_no_scipy(tmp_path):
 
 
 def test_verify_loads_no_scipy_and_reports_as_in_process(tmp_path, verify_small_run):
+    # a one-core run against the in-process fixture's run on every usable core
     fresh = tmp_path / "fresh"
     run = fresh_run(["verify", "--config", VERIFY_SMALL, "--out", str(fresh)], tmp_path)
     assert run["code"] == 0
