@@ -36,8 +36,12 @@ class Children:
     def spawn(self, work, share) -> None:
         """Fork a child that runs work(share)."""
         with warnings.catch_warnings():
-            # Python >= 3.12 warns on a fork while BLAS pool threads exist;
-            # the child runs its own work and leaves by os._exit.
+            # Python >= 3.12 warns on a fork while other threads exist.
+            # numpy's bundled OpenBLAS stops its pool threads before a fork
+            # (a pthread_atfork handler) and starts them again at its next
+            # call, and the forking thread makes no BLAS call meanwhile, so
+            # a child's matrix products find no lock held by a thread that
+            # did not survive the fork.
             warnings.filterwarnings("ignore", "This process .* is multi-threaded")
             pid = os.fork()
         if pid == 0:

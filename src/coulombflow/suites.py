@@ -356,12 +356,11 @@ def _run_tasks(tasks) -> list[list[CheckResult]]:
     pipe to its end before it reaps the children; when it fails itself, it
     closes the pipes, then kills and reaps them.  The earliest task that
     failed re-raises its exception here, or OSError naming it if its child
-    died without reporting.  With one usable core, or one task, the tasks
-    run in the main process one after another.
+    died without reporting.  With one usable core, or one task, or where
+    os.fork is missing, no child is forked and the main process pulls every
+    index in order.
     """
     workers = min(usable_cores(), len(tasks))
-    if workers < 2:
-        return [task() for task in tasks]
     queue, fill = os.pipe()
     # a suite's few indices fit in the pipe's buffer, so this write returns
     os.write(fill, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
