@@ -20,11 +20,12 @@ n = 8, m ~ 4.81 the max rises by about 0.1 within 7 steps.  ROADMAP item 2
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from array import array
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -196,7 +197,8 @@ class _Axis:
 
     next(x) is np.roll(x, -1, axis), the + neighbour, and prev(x) is
     np.roll(x, 1, axis), the - neighbour, each joined from two slices that
-    index from the end, so the leading axes of a batch pass through.
+    index from the end, so the leading axes of a batch pass through.  Each
+    writes into out when it is given.
     """
 
     def __init__(self, axis: int):
@@ -205,13 +207,13 @@ class _Axis:
         self._next = ((..., slice(1, None)) + after, (..., slice(None, 1)) + after)
         self._prev = ((..., slice(-1, None)) + after, (..., slice(None, -1)) + after)
 
-    def next(self, x: np.ndarray) -> np.ndarray:
+    def next(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         head, tail = self._next
-        return np.concatenate((x[head], x[tail]), self.axis)
+        return np.concatenate((x[head], x[tail]), self.axis, out=out)
 
-    def prev(self, x: np.ndarray) -> np.ndarray:
+    def prev(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         head, tail = self._prev
-        return np.concatenate((x[head], x[tail]), self.axis)
+        return np.concatenate((x[head], x[tail]), self.axis, out=out)
 
 
 @dataclass(frozen=True)
@@ -233,54 +235,95 @@ def _stencil(grid: TorusGrid) -> _Stencil:
     return _Stencil(grid, grid.h, grid.h**2, tuple(_Axis(axis) for axis in grid.axes))
 
 
-def _upwind_face_values(values: np.ndarray, w: np.ndarray, ax: _Axis) -> np.ndarray:
+def _upwind_face_values(
+    values: np.ndarray,
+    w: np.ndarray,
+    ax: _Axis,
+    out: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Donor-cell value at each +side face along ax: the neighbor when w > 0, else self.
 
     The mass velocity is opposite in sign to the potential gradient, so a
     positive face drift means mass flows from the + neighbor into this cell.
+    Written into out, with mask, a bool array shaped like w, as scratch;
+    either is allocated when None.
     """
-    return np.where(w > 0.0, ax.next(values), values)
+    out = ax.next(values, out)
+    mask = np.greater(w, 0.0, out=mask)
+    np.copyto(out, values, where=np.logical_not(mask, out=mask))
+    return out
 
 
-def _mobility(values: np.ndarray, ms: Sequence[float]) -> np.ndarray:
+def _mobility(
+    values: np.ndarray, ms: Sequence[float], out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """u^m of a (B, *grid.shape) array: a clamped copy, each row raised to its own m.
 
     Each exponent stays a Python float: np.power has fast paths for a scalar
     exponent (square, sqrt) that an array one skips.  Raised in place row by
     row, each member's mobility is the one its lone run gets.  Rows are
     taken by index: iterating the array costs a lone 1-D n = 128 call
-    ~1 us more (2-core x86-64).
+    ~1 us more (2-core x86-64).  The copy is out, allocated when None.
     """
-    mob = np.maximum(values, 0.0)
+    mob = np.maximum(values, 0.0, out=out)
     for r, m in enumerate(ms):
         row = mob[r]
         np.power(row, m, out=row)
     return mob
 
 
-def _divergence_flux(st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...]) -> np.ndarray:
+def _divergence_flux(
+    st: _Stencil,
+    mob: np.ndarray,
+    faces: tuple[np.ndarray, ...],
+    out: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
     """div_h of the upwinded flux u^m * drift, cellwise, from the mobility u^m.
 
     Upwinding the mobility is upwinding the value: u -> u^m acts per cell.
     Works over the trailing grid axes; leading axes are a batch.  The axes'
     terms are summed in order, starting from the first (no zero
-    accumulator), as are those of the other stages.
+    accumulator), as are those of the other stages.  Written into out, with
+    a, b and mask (bool) as scratch, all shaped like mob.
     """
-    div = None
-    for ax, w in zip(st.axes, faces):
-        g = w * _upwind_face_values(mob, w, ax)
-        term = (g - ax.prev(g)) / st.h
-        div = term if div is None else div + term
-    return div
+    for k, (ax, w) in enumerate(zip(st.axes, faces)):
+        g = _upwind_face_values(mob, w, ax, a, mask)
+        np.multiply(w, g, out=g)
+        term = ax.prev(g, b if k else out)
+        np.subtract(g, term, out=term)
+        np.divide(term, st.h, out=term)
+        if k:
+            np.add(out, term, out=out)
+    return out
 
 
-def _laplacian(st: _Stencil, values: np.ndarray) -> np.ndarray:
-    """Centered Laplacian over the trailing grid axes; leading axes are a batch."""
-    lap = None
-    for ax in st.axes:
-        term = (ax.next(values) - 2.0 * values + ax.prev(values)) / st.h2
-        lap = term if lap is None else lap + term
-    return lap
+def _laplacian(
+    st: _Stencil,
+    values: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    a: Optional[np.ndarray] = None,
+    b: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Centered Laplacian over the trailing grid axes; leading axes are a batch.
+
+    Written into out, with a and b as scratch, each shaped like values and
+    allocated when None.
+    """
+    for k, ax in enumerate(st.axes):
+        term = ax.next(values, a if k else out)
+        b = np.multiply(values, 2.0, out=b)
+        np.subtract(term, b, out=term)
+        np.add(term, ax.prev(values, b), out=term)
+        np.divide(term, st.h2, out=term)
+        if k:
+            np.add(out, term, out=out)
+        else:
+            out = term
+    return out
 
 
 def _advective_speed_scale(m: float, umin: Optional[float], umax: Optional[float]) -> float:
@@ -307,6 +350,7 @@ def cfl_dt(
     cfg: Union[SolverConfig, Sequence[SolverConfig]],
     next_output_gap: Union[None, float, Sequence[Optional[float]]] = None,
     faces: Optional[tuple[np.ndarray, ...]] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> Union[float, list[float]]:
     """Stable explicit step: advective and viscous bounds, clamped to outputs.
 
@@ -314,10 +358,13 @@ def cfl_dt(
     of shape (B, *grid.shape), cfg and next_output_gap hold one entry per
     member (a gap may be None) and the result one float per member; a field
     is the B = 1 batch.  faces, the drift of values (with or without the
-    batch axis for one field), is computed when not given.  Each member's
-    |drift| max and value extremes are reduced along the grid axes for all
-    members at once, which is exact, so every dt is the one its field alone
-    gets.  A SolverError carries the failing member's row as `member`.
+    batch axis for one field), is computed when not given; scratch, an
+    array shaped like one of them, takes each axis's |drift| when given.
+    Each member's |drift| max is reduced along the grid axes for all
+    members at once, and each value extreme over the runs of adjacent rows
+    whose mobility reads it (the min for m < 1, else the max), which is
+    exact, so every dt is the one its field alone gets.  A SolverError
+    carries the failing member's row as `member`.
     """
     one = isinstance(u, ScalarField)
     if one:
@@ -329,14 +376,21 @@ def cfl_dt(
         (grid, values), cfgs, gaps = u, cfg, next_output_gap
     if faces is None:
         faces = coulomb_drift(grid, half_spectrum(grid, values))
-    vmaxes = np.abs(faces[0]).max(axis=grid.axes).tolist()
+    vmaxes = np.abs(faces[0], out=scratch).max(axis=grid.axes).tolist()
     for w in faces[1:]:
         # Python's max over the axes in order, as one field takes it
-        vmaxes = [max(a, b) for a, b in zip(vmaxes, np.abs(w).max(axis=grid.axes).tolist())]
-    # Only the extreme some member's mobility reads is reduced at all.
-    ms = [c.m for c in cfgs]
-    lows = values.min(axis=grid.axes).tolist() if min(ms) < 1.0 else [None] * len(ms)
-    highs = values.max(axis=grid.axes).tolist() if max(ms) >= 1.0 else [None] * len(ms)
+        vmax = np.abs(w, out=scratch).max(axis=grid.axes).tolist()
+        vmaxes = [max(a, b) for a, b in zip(vmaxes, vmax)]
+    lows, highs = [None] * len(cfgs), [None] * len(cfgs)
+    start = 0
+    for low, rows in itertools.groupby(c.m < 1.0 for c in cfgs):
+        stop = start + len(list(rows))
+        part = values[start:stop]
+        if low:
+            lows[start:stop] = part.min(axis=grid.axes).tolist()
+        else:
+            highs[start:stop] = part.max(axis=grid.axes).tolist()
+        start = stop
     h, dim = grid.h, grid.dim
     h2, two_d = h**2, 2.0 * dim
     dts = []
@@ -370,65 +424,123 @@ def _per_member(values: list[float], grid: TorusGrid) -> Union[float, np.ndarray
     return np.array(values).reshape((-1,) + (1,) * grid.dim)
 
 
+class _Work(NamedTuple):
+    """The arrays a batch step writes, each a view of one np.empty block.
+
+    For B rows: uhat and spec, the (B, *half-spectrum shape) complex
+    spectrum and drift spectrum; faces, one (B, *grid.shape) real drift
+    array per axis; mob, rhs, a, b and c, five more such real arrays; and
+    mask, one such bool array.  At d = 2, n = 256 and B = 1 that is
+    7 x 512 KiB real, 2 x 516 KiB complex and 64 KiB bool, ~4.6 MiB.
+    """
+
+    uhat: np.ndarray
+    spec: np.ndarray
+    faces: tuple[np.ndarray, ...]
+    mob: np.ndarray
+    rhs: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    mask: np.ndarray
+
+
+def _work_area(grid: TorusGrid, rows: int) -> _Work:
+    """The work area of `rows` batch rows on `grid`, cut from one block.
+
+    One allocation, made and freed in one piece.  The complex views come
+    first, then the real ones and last the mask's bytes.
+    """
+    shape = (rows, *grid.shape)
+    spec_shape = (rows, *grid.shape[:-1], grid.n // 2 + 1)
+    cells, modes = math.prod(shape), math.prod(spec_shape)
+    n_real = grid.dim + 5
+    # two complex arrays, n_real real ones and the mask's bytes in whole doubles
+    block = np.empty(4 * modes + n_real * cells + -(-cells // 8))
+    spectra = block[: 4 * modes].view(np.complex128).reshape(2, *spec_shape)
+    reals = block[4 * modes : 4 * modes + n_real * cells].reshape(n_real, *shape)
+    mask = block[4 * modes + n_real * cells :].view(np.bool_)[:cells].reshape(shape)
+    return _Work(*spectra, tuple(reals[: grid.dim]), *reals[grid.dim :], mask)
+
+
 @dataclass(frozen=True)
 class _StepPlan:
-    """What each batch step reads that changes only when a member leaves.
+    """What each batch step reads that changes only when a member leaves, and where it writes.
 
     stencil is the grid's and ms holds the active rows' mobility exponents.
-    viscous lists the rows with eps > 0, None when that is every row, and
-    eps is their factor (`_per_member`), None when no row has one: only
-    those rows' Laplacian is taken.
+    viscous is None when every row has eps > 0, and eps is then their
+    factor (`_per_member`); else viscous lists (row, eps) for the rows with
+    eps > 0, and only those rows get the Laplacian.
+
+    work is the plan's work area (`_Work`), sized (B, *grid.shape) for its
+    B rows: every stage of a step writes into it, so a step allocates no
+    field-sized array.  Each step writes over the last one's arrays.  It
+    lives as long as the plan: a run builds one plan, and one more each
+    time a member leaves, and drops it when the run ends.
     """
 
     stencil: _Stencil
     ms: list[float]
-    viscous: Optional[list[int]]
+    viscous: Optional[list[tuple[int, float]]]
     eps: Union[None, float, np.ndarray]
+    work: _Work
+
+    def spectrum_and_drift(self, values: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """uhat = rfftn(values) and the face drift, in the work area."""
+        grid, work = self.stencil.grid, self.work
+        uhat = half_spectrum(grid, values, work.uhat)
+        return uhat, coulomb_drift(grid, uhat, "face", work.faces, work.spec)
 
 
 def _step_plan(grid: TorusGrid, ms: list[float], eps: list[float]) -> _StepPlan:
     """The plan of a batch step whose rows have exponents ms and viscosities eps."""
-    viscous = [r for r, e in enumerate(eps) if e > 0.0]
-    if len(viscous) == len(eps):
-        return _StepPlan(_stencil(grid), ms, None, _per_member(eps, grid))
-    factor = _per_member([eps[r] for r in viscous], grid) if viscous else None
-    return _StepPlan(_stencil(grid), ms, viscous, factor)
+    work = _work_area(grid, len(ms))
+    if all(e > 0.0 for e in eps):
+        return _StepPlan(_stencil(grid), ms, None, _per_member(eps, grid), work)
+    viscous = [(r, e) for r, e in enumerate(eps) if e > 0.0]
+    return _StepPlan(_stencil(grid), ms, viscous, None, work)
 
 
 def _euler_update(
     plan: _StepPlan, values: np.ndarray, faces: tuple[np.ndarray, ...], dt: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The forward-Euler step after its bound, the one that run_batch and step take.
 
     values + dt * (div_h(u^m * drift) + eps Lap_h values) for a (B,
     *grid.shape) array, dt one float per member (from cfl_dt) and plan the
-    rows' exponents and viscosities.  Only members with eps > 0 get the
-    viscosity and only members whose update went negative are clamped at
-    zero, so each member's arithmetic, down to the signs of zeros, is that
-    of its lone run.  A minimum below -1e-13 is no roundoff: a SolverError
-    names the lowest row as `member`.  Returns the clamped update and the
-    mobility u^m of values, which the dissipation density reads.
+    rows' exponents and viscosities, written over values.  Only members
+    with eps > 0 get the viscosity and only members whose update went
+    negative are clamped at zero, so each member's arithmetic, down to the
+    signs of zeros, is that of its lone run.  A minimum below -1e-13 is no
+    roundoff: a SolverError names the lowest row as `member`.  Returns the
+    mobility u^m of the old values, which the dissipation density reads;
+    it and every intermediate are arrays of the plan's work area.
     """
-    st = plan.stencil
-    mob = _mobility(values, plan.ms)
-    rhs = _divergence_flux(st, mob, faces)
+    st, work = plan.stencil, plan.work
+    mob = _mobility(values, plan.ms, work.mob)
+    rhs = _divergence_flux(st, mob, faces, work.rhs, work.a, work.b, work.mask)
     if plan.viscous is None:
-        rhs += plan.eps * _laplacian(st, values)
+        lap = _laplacian(st, values, work.c, work.a, work.b)
+        rhs += np.multiply(lap, plan.eps, out=lap)
     elif plan.viscous:
-        lap = _laplacian(st, values[plan.viscous])
-        rhs[plan.viscous] += plan.eps * lap
-    new = values + _per_member(dt, st.grid) * rhs
-    worst = new.min(axis=st.grid.axes).tolist()
+        # the rows with eps > 0 take theirs from the Laplacian of every row
+        lap = _laplacian(st, values, work.c, work.a, work.b)
+        for r, eps in plan.viscous:
+            row, target = lap[r], rhs[r]
+            target += np.multiply(row, eps, out=row)
+    rhs *= _per_member(dt, st.grid)
+    values += rhs
+    worst = values.min(axis=st.grid.axes).tolist()
     lowest = min(worst)
     if lowest < -_NEGATIVITY_GUARD:
         raise SolverError(
             f"negativity beyond roundoff ({lowest:.3e}): scheme misconfigured",
             member=worst.index(lowest),
         )
-    for member, low in zip(new, worst):
+    for member, low in zip(values, worst):
         if low < 0.0:
             np.maximum(member, 0.0, out=member)
-    return new, mob
+    return mob
 
 
 def _data_fault(values: np.ndarray, m: float) -> Optional[str]:
@@ -447,41 +559,49 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     """One forward-Euler update through run_batch's kernel, on a (1, *grid.shape) array.
 
     dt must respect cfl_dt, and u must pass run_batch's data rule; the
-    kernel's negativity guard raises as it does in run_batch.
+    kernel's negativity guard raises as it does in run_batch.  Each call
+    builds its own plan, and so its own work area.
     """
     grid = u.grid
     if fault := _data_fault(u.values, cfg.m):
         raise SolverError(fault)
     if u.values.min() == u.values.max():
         return u  # constants are exact steady states for any dt
-    values = u.values[None]
-    faces = coulomb_drift(grid, half_spectrum(grid, values))
-    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces)
+    plan = _step_plan(grid, [cfg.m], [cfg.epsilon_at(grid)])
+    values = u.values[None].copy()
+    _, faces = plan.spectrum_and_drift(values)
+    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces, scratch=plan.work.a)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
-    new, _ = _euler_update(_step_plan(grid, [cfg.m], [cfg.epsilon_at(grid)]), values, faces, [dt])
-    return ScalarField(grid, new[0])
+    _euler_update(plan, values, faces, [dt])
+    return ScalarField(grid, values[0])
 
 
 def _dissipation_density(
-    st: _Stencil, mob: np.ndarray, faces: tuple[np.ndarray, ...]
+    st: _Stencil,
+    mob: np.ndarray,
+    faces: tuple[np.ndarray, ...],
+    sq: Optional[np.ndarray] = None,
+    s: Optional[np.ndarray] = None,
+    term: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sum over cells of |drift|^2 u^m, with |drift|^2 averaged from adjacent faces.
 
     One face array per grid axis; the sum runs over the trailing grid axes,
-    so a batch gets one value per member.
+    so a batch gets one value per member.  |drift|^2 is built in sq, with
+    s and term as scratch, each shaped like a face array and allocated when
+    None, and the product with mob is written over mob.
     """
-    sq = None
-    for ax, w in zip(st.axes, faces):
-        s = w**2
-        term = 0.5 * (s + ax.prev(s))
-        sq = term if sq is None else sq + term
-    # The last axis's arrays die before the product is allocated, as they
-    # did at the end of a generator pipeline: alive there, they raised a
-    # lone 2-D n = 256 run's minor page faults from ~73k to ~97k (glibc
-    # malloc trims and regrows the heap).
-    del s, term
-    return (sq * mob).sum(axis=st.grid.axes)
+    for k, (ax, w) in enumerate(zip(st.axes, faces)):
+        s = np.square(w, out=s)
+        t = ax.prev(s, term if k else sq)
+        np.add(s, t, out=t)
+        np.multiply(t, 0.5, out=t)
+        if k:
+            np.add(sq, t, out=sq)
+        else:
+            sq = t
+    return np.multiply(mob, sq, out=mob).sum(axis=st.grid.axes)
 
 
 def _grad_sup(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -527,12 +647,16 @@ def run_batch(
     Bound once per run, and again only when a member leaves: the active
     members' configs and the step plan, which holds the grid's stencil (h,
     h^2 and one `_Axis` neighbour read per grid axis), the members'
-    exponents and the rows with eps > 0 with their eps factor.  Done at
-    every step: the half spectrum and the face drift, the cfl_dt call, the
-    step kernel `_euler_update` (mobility, update, negativity guard and
-    clamp), whose stages loop over the axes, and the dissipation density of
-    the kernel's mobility.  A SolverError of cfl_dt or the kernel names its
-    row, and the run ends there.
+    exponents, the rows with eps > 0 with their eps factor, and the work
+    area: one np.empty block of d + 5 real and 1 bool (B, *grid.shape)
+    arrays and 2 complex half spectra (~4.6 MiB at d = 2, n = 256, B = 1),
+    freed with the plan, at the latest when the run returns.  Done at every step, each
+    stage writing into the work area: the half spectrum and the face
+    drift, the cfl_dt call, the step kernel `_euler_update` (mobility,
+    update, negativity guard and clamp), whose stages loop over the axes,
+    and the dissipation density of the kernel's mobility.  The update is
+    written over the batch's state array.  A SolverError of cfl_dt or the
+    kernel names its row, and the run ends there.
 
     Snapshots land exactly on the requested times (the step is clamped to the
     next output).  Observables are recorded every `record_every` steps and at
@@ -587,10 +711,11 @@ def run_batch(
     # dropped once its last scheduled snapshot lands.
     active = list(range(len(members)))
 
-    # record() holds the due rows of a step's values and uhat, which are
-    # fresh arrays never written again, with each row's member, t and
-    # dissipation; flush() reduces up to `block` held states at once, also
-    # of members that have left the batch.
+    # record() holds the due rows of a step's values and uhat with each
+    # row's member, t and dissipation; flush() reduces up to `block` held
+    # states at once, also of members that have left the batch.  The step
+    # writes over values and the work area's uhat, so a state held past
+    # record() is a copy.
     held = []
     block = max(1, _RECORD_BLOCK_BYTES // values.nbytes)
 
@@ -598,6 +723,8 @@ def run_batch(
         vals = values
         if len(which) < len(active):
             vals, uhat = values[which], uhat[which]
+        elif block > 1:
+            vals, uhat = values.copy(), uhat.copy()
         held.append((vals, uhat, [(active[r], t[active[r]], cum_diss[active[r]]) for r in which]))
         if len(held) == block:
             flush()
@@ -632,8 +759,7 @@ def run_batch(
     # The rows whose last scheduled snapshot landed in the step just taken.
     done: list[int] = []
     while True:
-        uhat = half_spectrum(grid, values)
-        faces = coulomb_drift(grid, uhat)
+        uhat, faces = plan.spectrum_and_drift(values)
         due = [r for r, i in enumerate(active) if step_idx % every[i] == 0 or r in done]
         if due:
             record(due, uhat)
@@ -647,12 +773,15 @@ def run_batch(
             plan = _step_plan(grid, [cfg.m for cfg in active_cfgs], [eps[i] for i in active])
         gaps = [outputs[i][out_idx[i]] - t[i] for i in active]
         try:
-            dts = cfl_dt((grid, values), active_cfgs, gaps, faces)
-            values, mob = _euler_update(plan, values, faces, dts)
+            dts = cfl_dt((grid, values), active_cfgs, gaps, faces, plan.work.a)
+            mob = _euler_update(plan, values, faces, dts)
         except SolverError as exc:
             fail(active[exc.member], str(exc))
-        dissipation = _dissipation_density(plan.stencil, mob, faces).tolist()
-        if not np.isfinite(values).all():
+        work = plan.work
+        dissipation = _dissipation_density(
+            plan.stencil, mob, faces, work.c, work.a, work.b
+        ).tolist()
+        if not np.isfinite(values, out=work.mask).all():
             r = np.isfinite(values).all(axis=grid.axes).tolist().index(False)
             fail(active[r], f"non-finite values at t = {t[active[r]] + dts[r]:.6g}")
         step_idx += 1

@@ -27,6 +27,7 @@ import functools
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -183,22 +184,32 @@ def spectral_symbols(grid: TorusGrid) -> SpectralSymbols:
     return SpectralSymbols(ksq, inv_lap, energy_weight, cell_diff, face_diff)
 
 
-def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+def half_spectrum(
+    grid: TorusGrid, values: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """rfftn of fields on `grid` over the trailing axes; leading axes are a batch.
 
     At d = 1 this is np.fft.rfft itself, which rfftn calls after its axis
-    bookkeeping; skipping that saves a few microseconds a call.
+    bookkeeping; skipping that saves a few microseconds a call.  out, if
+    given, is the complex array the spectrum is written into (the `out` of
+    numpy's FFT functions, new in numpy 2.0).
     """
     if grid.dim == 1:
-        return np.fft.rfft(values)
-    return np.fft.rfftn(values, s=grid.shape, axes=grid.axes)
+        return np.fft.rfft(values, out=out)
+    return np.fft.rfftn(values, s=grid.shape, axes=grid.axes, out=out)
 
 
-def _to_grid(grid: TorusGrid, xhat: np.ndarray) -> np.ndarray:
-    """The real fields on `grid` whose half spectra, over the trailing axes, are xhat."""
+def _to_grid(grid: TorusGrid, xhat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The real fields on `grid` whose half spectra, over the trailing axes, are xhat.
+
+    At d = 2 these are the two calls irfftn makes, with the first one's
+    result written over xhat, so xhat is lost.  out, if given, is the real
+    array the fields are written into.
+    """
     if grid.dim == 1:
-        return np.fft.irfft(xhat, grid.n)
-    return np.fft.irfftn(xhat, s=grid.shape, axes=grid.axes)
+        return np.fft.irfft(xhat, grid.n, out=out)
+    np.fft.ifft(xhat, grid.n, axis=-2, out=xhat)
+    return np.fft.irfft(xhat, grid.n, axis=-1, out=out)
 
 
 def _fourier_multiply(u: ScalarField, multiplier: np.ndarray) -> np.ndarray:
@@ -207,19 +218,31 @@ def _fourier_multiply(u: ScalarField, multiplier: np.ndarray) -> np.ndarray:
 
 
 def coulomb_drift(
-    grid: TorusGrid, uhat: np.ndarray, staggering: str = "face"
+    grid: TorusGrid,
+    uhat: np.ndarray,
+    staggering: str = "face",
+    out: Optional[tuple[np.ndarray, ...]] = None,
+    spec: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, ...]:
     """Gradient of the Coulomb potential per axis, from uhat = rfftn(u).
 
     uhat may carry leading batch axes before the grid's half spectrum; each
-    returned array then has the same leading axes.
+    returned array then has the same leading axes.  Each axis's spectrum,
+    uhat * inv_lap times its derivative symbol, is built in spec and
+    transformed from there.  out, if given, holds one real array per axis
+    the drift is written into, and spec, if given, is a complex array
+    shaped like uhat; those that are not given are allocated.
     """
     if staggering not in ("cell", "face"):
         raise ValueError(f"unknown staggering {staggering!r}")
     sym = spectral_symbols(grid)
     mults = sym.face_diff if staggering == "face" else sym.cell_diff
-    phihat = uhat * sym.inv_lap
-    return tuple(_to_grid(grid, phihat * d) for d in mults)
+    faces = []
+    for d, face in zip(mults, out or (None,) * grid.dim):
+        spec = np.multiply(uhat, sym.inv_lap, out=spec)
+        np.multiply(spec, d, out=spec)
+        faces.append(_to_grid(grid, spec, face))
+    return tuple(faces)
 
 
 def mode_energy(grid: TorusGrid, uhat: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -737,6 +738,46 @@ def test_batch_bound_matches_per_member_reference(dim):
     # one field is the batch of one
     for r in range(0, len(cfgs), 7):
         assert cfl_dt(ScalarField(grid, values[r]), cfgs[r], gaps[r]) == want[r]
+    if dim == 2:
+        # one member per m, grouped and interleaved: each extreme is reduced
+        # only over the rows whose mobility reads it, and every dt is still
+        # the one-field call's, bit for bit
+        grid = make_grid(2, 64)
+        for ms in ((0.5, 1.0, 2.0, 4.0), (1.0, 0.5, 4.0, 0.5, 2.0)):
+            values = 0.2 + rng.uniform(0.0, 2.0, size=(len(ms),) + grid.shape)
+            cfgs = [SolverConfig(m=m, epsilon=0.0) for m in ms]
+            got = cfl_dt((grid, values), cfgs, [None] * len(ms))
+            alone = [cfl_dt(ScalarField(grid, v), cfg) for v, cfg in zip(values, cfgs)]
+            assert [float.hex(dt) for dt in got] == [float.hex(dt) for dt in alone]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's count")
+def test_lone_d2_steps_take_no_minor_page_faults():
+    # simulate-2d's data and settings (d = 2, n = 256, m = 2, eps = h): every
+    # stage of a step writes into its plan's work area, so steps past the
+    # first allocate no field-sized array and fault in no fresh page.  The
+    # difference of a 2N-step and an N-step run is N steps' faults, with the
+    # per-run costs (work area, snapshots) cancelled
+    import resource
+
+    grid = make_grid(2, 256)
+    u0 = build_initial_condition(grid, {"kind": "cosine", "base": 1.0, "amplitudes": [0.45, 0.05]})
+    dt = cfl_dt(u0, SolverConfig(m=2.0))
+
+    def faults(steps):
+        cfg = SolverConfig(m=2.0, t_end=steps * dt)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        traj = run(u0, cfg)
+        assert len(traj.observables.t) == steps + 1
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    steps = 16
+    # warm-up: the first run also builds the FFT plans and maps its work
+    # area, which glibc then serves from the heap, grown in the second run
+    for _ in range(2):
+        faults(2 * steps)
+    per_step = (faults(2 * steps) - faults(steps)) / steps
+    assert per_step < 5, f"{per_step:.1f} minor page faults per step"
 
 
 def test_batch_bound_error_carries_the_row():
