@@ -326,23 +326,106 @@ def _laplacian(
     return out
 
 
-def _advective_speed_scale(m: float, umin: Optional[float], umax: Optional[float]) -> float:
-    """Lipschitz constant of u -> u^m between the values umin and umax, entering the CFL.
+def _advective_speed_scale(m: float, u: float) -> float:
+    """Lipschitz constant of u -> u^m at u, the value extreme it reads, entering the CFL.
 
     m * umax^(m-1) for m >= 1 and m * umin^(m-1) for m < 1, where the
     mobility is steepest at the smallest value (run_batch rejects m < 1
-    data whose minimum is not positive); the other bound is not read.  A
-    power beyond the float range is an infinite rate, which cfl_dt reports
-    as a time step underflow.
+    data whose minimum is not positive); u is that extreme.  A power
+    beyond the float range is an infinite rate, which the bound reports as
+    a time step underflow.
     """
     try:
         if m < 1.0:
-            return m * umin ** (m - 1.0) if umin > 0.0 else np.inf
-        if umax <= 0.0:
+            return m * u ** (m - 1.0) if u > 0.0 else np.inf
+        if u <= 0.0:
             return 0.0 if m > 1 else np.inf
-        return m * umax ** (m - 1.0)
+        return m * u ** (m - 1.0)
     except OverflowError:
         return np.inf
+
+
+class _StepBound(NamedTuple):
+    """The stable explicit step of a batch's rows: per-row constants and their one evaluation.
+
+    Per row: ms, its mobility exponent; advective, the advective numerator
+    cfl * h; and viscous, the viscous bound cfl * h^2 / (2d * eps), inf
+    where eps = 0.  runs holds the (rows, low) runs of adjacent rows, rows
+    a slice, whose mobility reads the value min (low, m < 1) or the max.
+    axes and dim are the grid's.  Built from the rows' configs by
+    `_step_bound`: once per run for run_batch's step plan (again when a
+    member leaves), once per call for step() and cfl_dt.
+    """
+
+    axes: tuple[int, ...]
+    dim: int
+    ms: list[float]
+    advective: list[float]
+    viscous: list[float]
+    runs: list[tuple[slice, bool]]
+
+    def dts(
+        self,
+        values: np.ndarray,
+        faces: tuple[np.ndarray, ...],
+        gaps: Sequence[Optional[float]],
+        scratch: Optional[np.ndarray] = None,
+    ) -> list[float]:
+        """Each row's dt: min(advective / rate, viscous, gap), an absent bound inf.
+
+        values is the (B, *grid.shape) state, faces its drift and gaps one
+        output gap per row (None for none); scratch, shaped like a face
+        array, takes each axis's |drift| when given.  Each row's |drift|
+        max is reduced along the grid axes for all rows at once, and each
+        value extreme over its run, which is exact, so every dt is the one
+        its field alone gets.  A SolverError carries the failing row as
+        `member`.
+        """
+        axes = self.axes
+        vmaxes = np.abs(faces[0], out=scratch).max(axis=axes).tolist()
+        for w in faces[1:]:
+            # Python's max over the axes in order, as one field takes it
+            vmax = np.abs(w, out=scratch).max(axis=axes).tolist()
+            vmaxes = [max(a, b) for a, b in zip(vmaxes, vmax)]
+        extremes: list[float] = []
+        for rows, low in self.runs:
+            part = values[rows]
+            extremes += (part.min(axis=axes) if low else part.max(axis=axes)).tolist()
+        dim, dts = self.dim, []
+        for r, (m, advective, viscous, gap, vmax, u) in enumerate(
+            zip(self.ms, self.advective, self.viscous, gaps, vmaxes, extremes)
+        ):
+            rate = dim * vmax * _advective_speed_scale(m, u)
+            # advective, viscous and output bounds, an absent one inf: min
+            # returns the first smallest, as taking them one after another does
+            dt = min(
+                advective / rate if rate > 0.0 else np.inf,
+                viscous,
+                np.inf if gap is None else gap,
+            )
+            if not math.isfinite(dt):
+                raise SolverError("time step unbounded: provide an output-time gap", member=r)
+            if dt < _DT_UNDERFLOW:
+                raise SolverError(f"time step underflow: dt = {dt:.3e}", member=r)
+            dts.append(float(dt))
+        return dts
+
+
+def _step_bound(grid: TorusGrid, cfgs: Sequence[SolverConfig]) -> _StepBound:
+    """The step bound of rows with configs cfgs on grid."""
+    h, two_d = grid.h, 2.0 * grid.dim
+    h2 = h**2
+    advective, viscous = [], []
+    for c in cfgs:
+        eps = c.epsilon_at(grid)
+        advective.append(c.cfl * h)
+        viscous.append(c.cfl * h2 / (two_d * eps) if eps > 0.0 else np.inf)
+    runs, start = [], 0
+    for low, rows in itertools.groupby(c.m < 1.0 for c in cfgs):
+        stop = start + len(list(rows))
+        runs.append((slice(start, stop), low))
+        start = stop
+    return _StepBound(grid.axes, grid.dim, [c.m for c in cfgs], advective, viscous, runs)
 
 
 def cfl_dt(
@@ -360,11 +443,11 @@ def cfl_dt(
     is the B = 1 batch.  faces, the drift of values (with or without the
     batch axis for one field), is computed when not given; scratch, an
     array shaped like one of them, takes each axis's |drift| when given.
-    Each member's |drift| max is reduced along the grid axes for all
-    members at once, and each value extreme over the runs of adjacent rows
-    whose mobility reads it (the min for m < 1, else the max), which is
-    exact, so every dt is the one its field alone gets.  A SolverError
-    carries the failing member's row as `member`.
+
+    The evaluation of run_batch's and step()'s plans for a one-off call:
+    it builds the members' bound constants (`_step_bound`) and evaluates
+    them once (`_StepBound.dts`), so every dt is the one a run takes.  A
+    SolverError carries the failing member's row as `member`.
     """
     one = isinstance(u, ScalarField)
     if one:
@@ -376,39 +459,7 @@ def cfl_dt(
         (grid, values), cfgs, gaps = u, cfg, next_output_gap
     if faces is None:
         faces = coulomb_drift(grid, half_spectrum(grid, values))
-    vmaxes = np.abs(faces[0], out=scratch).max(axis=grid.axes).tolist()
-    for w in faces[1:]:
-        # Python's max over the axes in order, as one field takes it
-        vmax = np.abs(w, out=scratch).max(axis=grid.axes).tolist()
-        vmaxes = [max(a, b) for a, b in zip(vmaxes, vmax)]
-    lows, highs = [None] * len(cfgs), [None] * len(cfgs)
-    start = 0
-    for low, rows in itertools.groupby(c.m < 1.0 for c in cfgs):
-        stop = start + len(list(rows))
-        part = values[start:stop]
-        if low:
-            lows[start:stop] = part.min(axis=grid.axes).tolist()
-        else:
-            highs[start:stop] = part.max(axis=grid.axes).tolist()
-        start = stop
-    h, dim = grid.h, grid.dim
-    h2, two_d = h**2, 2.0 * dim
-    dts = []
-    for r, (c, gap, vmax, umin, umax) in enumerate(zip(cfgs, gaps, vmaxes, lows, highs)):
-        eps = c.epsilon_at(grid)
-        rate = dim * vmax * _advective_speed_scale(c.m, umin, umax)
-        # advective, viscous and output bounds, an absent one inf: min
-        # returns the first smallest, as taking them one after another does
-        dt = min(
-            c.cfl * h / rate if rate > 0.0 else np.inf,
-            c.cfl * h2 / (two_d * eps) if eps > 0.0 else np.inf,
-            np.inf if gap is None else gap,
-        )
-        if not math.isfinite(dt):
-            raise SolverError("time step unbounded: provide an output-time gap", member=r)
-        if dt < _DT_UNDERFLOW:
-            raise SolverError(f"time step underflow: dt = {dt:.3e}", member=r)
-        dts.append(float(dt))
+    dts = _step_bound(grid, cfgs).dts(values, faces, gaps, scratch)
     return dts[0] if one else dts
 
 
@@ -467,10 +518,13 @@ def _work_area(grid: TorusGrid, rows: int) -> _Work:
 class _StepPlan:
     """What each batch step reads that changes only when a member leaves, and where it writes.
 
-    stencil is the grid's and ms holds the active rows' mobility exponents.
-    viscous is None when every row has eps > 0, and eps is then their
-    factor (`_per_member`); else viscous lists (row, eps) for the rows with
-    eps > 0, and only those rows get the Laplacian.
+    stencil is the grid's.  viscous is None when every row has eps > 0,
+    and eps is then their factor (`_per_member`); else viscous lists (row,
+    eps) for the rows with eps > 0, and only those rows get the Laplacian.
+    bound is the rows' step bound (`_StepBound`): their mobility exponents,
+    which the kernel also reads, the advective numerators cfl * h, the
+    viscous bounds cfl * h^2 / (2d * eps) and the runs of rows whose
+    mobility reads the value min or max, so a step reads no config.
 
     work is the plan's work area (`_Work`), sized (B, *grid.shape) for its
     B rows: every stage of a step writes into it, so a step allocates no
@@ -480,9 +534,9 @@ class _StepPlan:
     """
 
     stencil: _Stencil
-    ms: list[float]
     viscous: Optional[list[tuple[int, float]]]
     eps: Union[None, float, np.ndarray]
+    bound: _StepBound
     work: _Work
 
     def spectrum_and_drift(self, values: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -492,13 +546,15 @@ class _StepPlan:
         return uhat, coulomb_drift(grid, uhat, "face", work.faces, work.spec)
 
 
-def _step_plan(grid: TorusGrid, ms: list[float], eps: list[float]) -> _StepPlan:
-    """The plan of a batch step whose rows have exponents ms and viscosities eps."""
-    work = _work_area(grid, len(ms))
+def _step_plan(grid: TorusGrid, cfgs: Sequence[SolverConfig]) -> _StepPlan:
+    """The plan of a batch step whose rows have configs cfgs."""
+    bound = _step_bound(grid, cfgs)
+    eps = [c.epsilon_at(grid) for c in cfgs]
+    work = _work_area(grid, len(cfgs))
     if all(e > 0.0 for e in eps):
-        return _StepPlan(_stencil(grid), ms, None, _per_member(eps, grid), work)
+        return _StepPlan(_stencil(grid), None, _per_member(eps, grid), bound, work)
     viscous = [(r, e) for r, e in enumerate(eps) if e > 0.0]
-    return _StepPlan(_stencil(grid), ms, viscous, None, work)
+    return _StepPlan(_stencil(grid), viscous, None, bound, work)
 
 
 def _euler_update(
@@ -507,17 +563,17 @@ def _euler_update(
     """The forward-Euler step after its bound, the one that run_batch and step take.
 
     values + dt * (div_h(u^m * drift) + eps Lap_h values) for a (B,
-    *grid.shape) array, dt one float per member (from cfl_dt) and plan the
-    rows' exponents and viscosities, written over values.  Only members
-    with eps > 0 get the viscosity and only members whose update went
-    negative are clamped at zero, so each member's arithmetic, down to the
-    signs of zeros, is that of its lone run.  A minimum below -1e-13 is no
+    *grid.shape) array, dt one float per member (from the plan's bound)
+    and plan the rows' exponents and viscosities, written over values.
+    Only members with eps > 0 get the viscosity and only members whose
+    update went negative are clamped at zero, so each member's arithmetic,
+    down to the signs of zeros, is that of its lone run.  A minimum below -1e-13 is no
     roundoff: a SolverError names the lowest row as `member`.  Returns the
     mobility u^m of the old values, which the dissipation density reads;
     it and every intermediate are arrays of the plan's work area.
     """
     st, work = plan.stencil, plan.work
-    mob = _mobility(values, plan.ms, work.mob)
+    mob = _mobility(values, plan.bound.ms, work.mob)
     rhs = _divergence_flux(st, mob, faces, work.rhs, work.a, work.b, work.mask)
     if plan.viscous is None:
         lap = _laplacian(st, values, work.c, work.a, work.b)
@@ -537,9 +593,10 @@ def _euler_update(
             f"negativity beyond roundoff ({lowest:.3e}): scheme misconfigured",
             member=worst.index(lowest),
         )
-    for member, low in zip(values, worst):
+    for r, low in enumerate(worst):
         if low < 0.0:
-            np.maximum(member, 0.0, out=member)
+            row = values[r]
+            np.maximum(row, 0.0, out=row)
     return mob
 
 
@@ -560,17 +617,18 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
 
     dt must respect cfl_dt, and u must pass run_batch's data rule; the
     kernel's negativity guard raises as it does in run_batch.  Each call
-    builds its own plan, and so its own work area.
+    builds its own plan, and so its own bound and work area, and
+    evaluates the bound once, as cfl_dt does.
     """
     grid = u.grid
     if fault := _data_fault(u.values, cfg.m):
         raise SolverError(fault)
     if u.values.min() == u.values.max():
         return u  # constants are exact steady states for any dt
-    plan = _step_plan(grid, [cfg.m], [cfg.epsilon_at(grid)])
+    plan = _step_plan(grid, [cfg])
     values = u.values[None].copy()
     _, faces = plan.spectrum_and_drift(values)
-    limit = cfl_dt(u, cfg, next_output_gap=dt, faces=faces, scratch=plan.work.a)
+    (limit,) = plan.bound.dts(values, faces, [dt], plan.work.a)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
     _euler_update(plan, values, faces, [dt])
@@ -636,27 +694,32 @@ def run_batch(
     The members share a grid and step together in one forward-Euler kernel
     over a (B, *grid.shape) array, B = 1 for a lone run; everything else is
     their own: m, eps, cfl, t_end, output times and record_every.  Each step
-    makes one cfl_dt call, which gives every active member its own dt, and
-    a member leaves the batch when the last snapshot of its output_schedule
-    lands.  The observables of the recorded steps are reduced along the
-    grid axes after the step, in blocks of up to ~32 KB of held field
-    values, for all members at once, those that have left included; a
-    larger state is reduced alone, as it stands.  Each trajectory is
-    bit-identical to the member integrated alone, each step reduced alone.
+    evaluates the step bound once, which gives every active member its own
+    dt (the one cfl_dt gives its field), and a member leaves the batch when
+    the last snapshot of its output_schedule lands.  The observables of
+    the recorded steps are reduced along the grid axes after the step, in
+    blocks of up to ~32 KB of held field values, for all members at once,
+    those that have left included; a larger state is reduced alone, as it
+    stands.  Each trajectory is bit-identical to the member integrated
+    alone, each step reduced alone.
 
-    Bound once per run, and again only when a member leaves: the active
-    members' configs and the step plan, which holds the grid's stencil (h,
-    h^2 and one `_Axis` neighbour read per grid axis), the members'
-    exponents, the rows with eps > 0 with their eps factor, and the work
-    area: one np.empty block of d + 5 real and 1 bool (B, *grid.shape)
-    arrays and 2 complex half spectra (~4.6 MiB at d = 2, n = 256, B = 1),
-    freed with the plan, at the latest when the run returns.  Done at every step, each
-    stage writing into the work area: the half spectrum and the face
-    drift, the cfl_dt call, the step kernel `_euler_update` (mobility,
-    update, negativity guard and clamp), whose stages loop over the axes,
-    and the dissipation density of the kernel's mobility.  The update is
-    written over the batch's state array.  A SolverError of cfl_dt or the
-    kernel names its row, and the run ends there.
+    Bound once per run, and again only when a member leaves: the step
+    plan, which holds the grid's stencil (h, h^2 and one `_Axis`
+    neighbour read per grid axis), the members' exponents, the rows with
+    eps > 0 with their eps factor, the step bound's constants (each row's
+    advective numerator cfl * h and viscous bound cfl * h^2 / (2d * eps),
+    inf where eps = 0, and the runs of rows whose mobility reads the value
+    min or max) and the work area: one np.empty block of d + 5 real and
+    1 bool (B, *grid.shape) arrays and 2 complex half spectra (~4.6 MiB at
+    d = 2, n = 256, B = 1), freed with the plan, at the latest when the
+    run returns.  Done at every step, each stage writing into the work
+    area: the half spectrum and the face drift, the bound's one
+    evaluation, the step kernel `_euler_update` (mobility, update,
+    negativity guard and clamp), whose stages loop over the axes, and the
+    dissipation density of the kernel's mobility.  The update is written
+    over the batch's state array, and a row of it is copied only when a
+    snapshot lands.  A SolverError of the bound or the kernel names its
+    row, and the run ends there.
 
     Snapshots land exactly on the requested times (the step is clamped to the
     next output).  Observables are recorded every `record_every` steps and at
@@ -752,9 +815,8 @@ def run_batch(
             rows[i].extend((ti, mass, umin, umax, l2, energy, diss))
 
     every = [cfg.record_every for cfg in cfgs]
-    # The active rows' configs and step plan, rebuilt when a member leaves.
-    active_cfgs = cfgs
-    plan = _step_plan(grid, [cfg.m for cfg in cfgs], eps)
+    # The active rows' step plan, rebuilt when a member leaves.
+    plan = _step_plan(grid, cfgs)
     step_idx = 0
     # The rows whose last scheduled snapshot landed in the step just taken.
     done: list[int] = []
@@ -769,15 +831,14 @@ def run_batch(
                 break
             active = [active[r] for r in keep]
             values, faces = values[keep], tuple(w[keep] for w in faces)
-            active_cfgs = [cfgs[i] for i in active]
-            plan = _step_plan(grid, [cfg.m for cfg in active_cfgs], [eps[i] for i in active])
+            plan = _step_plan(grid, [cfgs[i] for i in active])
         gaps = [outputs[i][out_idx[i]] - t[i] for i in active]
+        work = plan.work
         try:
-            dts = cfl_dt((grid, values), active_cfgs, gaps, faces, plan.work.a)
+            dts = plan.bound.dts(values, faces, gaps, work.a)
             mob = _euler_update(plan, values, faces, dts)
         except SolverError as exc:
             fail(active[exc.member], str(exc))
-        work = plan.work
         dissipation = _dissipation_density(
             plan.stencil, mob, faces, work.c, work.a, work.b
         ).tolist()
@@ -786,12 +847,12 @@ def run_batch(
             fail(active[r], f"non-finite values at t = {t[active[r]] + dts[r]:.6g}")
         step_idx += 1
         done = []
-        for r, (i, dt, dissipated, v) in enumerate(zip(active, dts, dissipation, values)):
+        for r, (i, dt, dissipated) in enumerate(zip(active, dts, dissipation)):
             cum_diss[i] += dt * dissipated * cm
             t[i] += dt
             if abs(t[i] - outputs[i][out_idx[i]]) < _TIME_RESOLUTION:
                 t[i] = outputs[i][out_idx[i]]
-                field = ScalarField(grid, v.copy())
+                field = ScalarField(grid, values[r].copy())
                 snapshots[i].append((t[i], field))
                 if on_snapshot is not None:
                     on_snapshot(i, t[i], field)

@@ -215,7 +215,7 @@ class TestStep:
         u = cosine(32)
         values = np.stack([u.values, 1 + 0.9 * (u.values - 1), u.values])
         faces = coulomb_drift(u.grid, half_spectrum(u.grid, values))
-        plan = pde_solver._step_plan(u.grid, [2.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+        plan = pde_solver._step_plan(u.grid, [SolverConfig(m=2.0, epsilon=0.0)] * 3)
         with pytest.raises(SolverError, match="^negativity beyond roundoff") as exc:
             pde_solver._euler_update(plan, values, faces, [20.0, 1.0, 50.0])
         assert exc.value.member == 2
@@ -555,7 +555,29 @@ def _batch_members_2d():
     ]
 
 
-@pytest.mark.parametrize("members", [_batch_members_1d(), _batch_members_2d()], ids=["d1", "d2"])
+def _batch_members_interleaved():
+    # m < 1 and m >= 1 rows interleaved, leaving one by one (t_end 0.2,
+    # 0.3, 0.4, 0.5, 0.6), so the plan's runs of min and max rows are
+    # rebuilt, and merge, as members leave
+    g = make_grid(1, 64)
+    x = g.axis_coordinates()
+    u0 = ScalarField(g, 0.3 + 2.0 * np.cos(np.pi * x) ** 2 + 0.4 * np.sin(3 * np.pi * x) ** 2)
+    return [
+        (u0, SolverConfig(m=1.0, epsilon=0.0, cfl=0.8, t_end=0.3, output_times=[0.1],
+                          record_every=2)),
+        (u0, SolverConfig(m=0.5, t_end=0.5, output_times=np.linspace(0.1, 0.5, 5))),
+        (u0, SolverConfig(m=4.0, epsilon=0.004, cfl=0.3, t_end=0.2, record_every=3)),
+        (u0, SolverConfig(m=0.5, epsilon=0.0, cfl=0.7, t_end=0.4, output_times=[0.25])),
+        (u0, SolverConfig(m=2.0, cfl=0.5, t_end=0.6, output_times=[0.3, 0.6],
+                          record_every=4)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [_batch_members_1d(), _batch_members_2d(), _batch_members_interleaved()],
+    ids=["d1", "d2", "d1-interleaved"],
+)
 def test_run_batch_matches_run(members):
     batch = run_batch(members)
     assert len(batch) == len(members)
@@ -792,9 +814,12 @@ def test_batch_bound_error_carries_the_row():
 
 
 def test_one_bound_call_per_step_and_no_field_but_snapshots(monkeypatch):
+    # the bound is evaluated once per step, through the step plan's bound
     calls, built = [], []
-    real = pde_solver.cfl_dt
-    monkeypatch.setattr(pde_solver, "cfl_dt", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = pde_solver._StepBound.dts
+    monkeypatch.setattr(
+        pde_solver._StepBound, "dts", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
 
     class CountedField(ScalarField):
         def __post_init__(self):
