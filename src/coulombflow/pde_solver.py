@@ -352,13 +352,11 @@ class _StepBound(NamedTuple):
     cfl * h; and viscous, the viscous bound cfl * h^2 / (2d * eps), inf
     where eps = 0.  runs holds the (rows, low) runs of adjacent rows, rows
     a slice, whose mobility reads the value min (low, m < 1) or the max.
-    axes and dim are the grid's.  Built from the rows' configs by
-    `_step_bound`: once per run for run_batch's step plan (again when a
-    member leaves), once per call for step() and cfl_dt.
+    Built from the rows' configs by `_step_bound`: once per run for
+    run_batch's step plan (again when a member leaves), once per call for
+    step() and a one-off cfl_dt.  Every evaluation goes through cfl_dt.
     """
 
-    axes: tuple[int, ...]
-    dim: int
     ms: list[float]
     advective: list[float]
     viscous: list[float]
@@ -366,6 +364,7 @@ class _StepBound(NamedTuple):
 
     def dts(
         self,
+        grid: TorusGrid,
         values: np.ndarray,
         faces: tuple[np.ndarray, ...],
         gaps: Sequence[Optional[float]],
@@ -373,15 +372,15 @@ class _StepBound(NamedTuple):
     ) -> list[float]:
         """Each row's dt: min(advective / rate, viscous, gap), an absent bound inf.
 
-        values is the (B, *grid.shape) state, faces its drift and gaps one
-        output gap per row (None for none); scratch, shaped like a face
-        array, takes each axis's |drift| when given.  Each row's |drift|
-        max is reduced along the grid axes for all rows at once, and each
-        value extreme over its run, which is exact, so every dt is the one
-        its field alone gets.  A SolverError carries the failing row as
+        values is the (B, *grid.shape) state on grid, faces its drift and
+        gaps one output gap per row (None for none); scratch, shaped like a
+        face array, takes each axis's |drift| when given.  Each row's
+        |drift| max is reduced along the grid axes for all rows at once, and
+        each value extreme over its run, which is exact, so every dt is the
+        one its field alone gets.  A SolverError carries the failing row as
         `member`.
         """
-        axes = self.axes
+        axes = grid.axes
         vmaxes = np.abs(faces[0], out=scratch).max(axis=axes).tolist()
         for w in faces[1:]:
             # Python's max over the axes in order, as one field takes it
@@ -391,7 +390,7 @@ class _StepBound(NamedTuple):
         for rows, low in self.runs:
             part = values[rows]
             extremes += (part.min(axis=axes) if low else part.max(axis=axes)).tolist()
-        dim, dts = self.dim, []
+        dim, dts = grid.dim, []
         for r, (m, advective, viscous, gap, vmax, u) in enumerate(
             zip(self.ms, self.advective, self.viscous, gaps, vmaxes, extremes)
         ):
@@ -411,26 +410,27 @@ class _StepBound(NamedTuple):
         return dts
 
 
-def _step_bound(grid: TorusGrid, cfgs: Sequence[SolverConfig]) -> _StepBound:
-    """The step bound of rows with configs cfgs on grid."""
+def _step_bound(
+    grid: TorusGrid, cfgs: Sequence[SolverConfig], eps: Sequence[float]
+) -> _StepBound:
+    """The step bound of rows with configs cfgs and viscosities eps on grid."""
     h, two_d = grid.h, 2.0 * grid.dim
     h2 = h**2
     advective, viscous = [], []
-    for c in cfgs:
-        eps = c.epsilon_at(grid)
+    for c, e in zip(cfgs, eps):
         advective.append(c.cfl * h)
-        viscous.append(c.cfl * h2 / (two_d * eps) if eps > 0.0 else np.inf)
+        viscous.append(c.cfl * h2 / (two_d * e) if e > 0.0 else np.inf)
     runs, start = [], 0
     for low, rows in itertools.groupby(c.m < 1.0 for c in cfgs):
         stop = start + len(list(rows))
         runs.append((slice(start, stop), low))
         start = stop
-    return _StepBound(grid.axes, grid.dim, [c.m for c in cfgs], advective, viscous, runs)
+    return _StepBound([c.m for c in cfgs], advective, viscous, runs)
 
 
 def cfl_dt(
     u: Union[ScalarField, tuple[TorusGrid, np.ndarray]],
-    cfg: Union[SolverConfig, Sequence[SolverConfig]],
+    cfg: Union[SolverConfig, Sequence[SolverConfig], _StepBound],
     next_output_gap: Union[None, float, Sequence[Optional[float]]] = None,
     faces: Optional[tuple[np.ndarray, ...]] = None,
     scratch: Optional[np.ndarray] = None,
@@ -444,22 +444,29 @@ def cfl_dt(
     batch axis for one field), is computed when not given; scratch, an
     array shaped like one of them, takes each axis's |drift| when given.
 
-    The evaluation of run_batch's and step()'s plans for a one-off call:
-    it builds the members' bound constants (`_step_bound`) and evaluates
-    them once (`_StepBound.dts`), so every dt is the one a run takes.  A
+    cfg may instead be the rows' bound constants (`_StepBound`): run_batch
+    and step() pass their step plan's (`_StepPlan.bound`) at every step,
+    and a one-off call with configs builds the same constants
+    (`_step_bound`).  Either way the bound's one evaluation,
+    `_StepBound.dts`, runs, so every dt is the one a run takes.  A
     SolverError carries the failing member's row as `member`.
     """
     one = isinstance(u, ScalarField)
     if one:
         grid, values = u.grid, u.values[None]
-        cfgs, gaps = [cfg], [next_output_gap]
+        gaps = [next_output_gap]
         if faces is not None:
             faces = tuple(w if w.ndim > grid.dim else w[None] for w in faces)
     else:
-        (grid, values), cfgs, gaps = u, cfg, next_output_gap
+        (grid, values), gaps = u, next_output_gap
+    if isinstance(cfg, _StepBound):
+        bound = cfg
+    else:
+        cfgs = [cfg] if one else cfg
+        bound = _step_bound(grid, cfgs, [c.epsilon_at(grid) for c in cfgs])
     if faces is None:
         faces = coulomb_drift(grid, half_spectrum(grid, values))
-    dts = _step_bound(grid, cfgs).dts(values, faces, gaps, scratch)
+    dts = bound.dts(grid, values, faces, gaps, scratch)
     return dts[0] if one else dts
 
 
@@ -546,10 +553,11 @@ class _StepPlan:
         return uhat, coulomb_drift(grid, uhat, "face", work.faces, work.spec)
 
 
-def _step_plan(grid: TorusGrid, cfgs: Sequence[SolverConfig]) -> _StepPlan:
-    """The plan of a batch step whose rows have configs cfgs."""
-    bound = _step_bound(grid, cfgs)
-    eps = [c.epsilon_at(grid) for c in cfgs]
+def _step_plan(
+    grid: TorusGrid, cfgs: Sequence[SolverConfig], eps: Sequence[float]
+) -> _StepPlan:
+    """The plan of a batch step whose rows have configs cfgs and viscosities eps."""
+    bound = _step_bound(grid, cfgs, eps)
     work = _work_area(grid, len(cfgs))
     if all(e > 0.0 for e in eps):
         return _StepPlan(_stencil(grid), None, _per_member(eps, grid), bound, work)
@@ -618,17 +626,17 @@ def step(u: ScalarField, dt: float, cfg: SolverConfig) -> ScalarField:
     dt must respect cfl_dt, and u must pass run_batch's data rule; the
     kernel's negativity guard raises as it does in run_batch.  Each call
     builds its own plan, and so its own bound and work area, and
-    evaluates the bound once, as cfl_dt does.
+    evaluates the bound once, through cfl_dt.
     """
     grid = u.grid
     if fault := _data_fault(u.values, cfg.m):
         raise SolverError(fault)
     if u.values.min() == u.values.max():
         return u  # constants are exact steady states for any dt
-    plan = _step_plan(grid, [cfg])
+    plan = _step_plan(grid, [cfg], [cfg.epsilon_at(grid)])
     values = u.values[None].copy()
     _, faces = plan.spectrum_and_drift(values)
-    (limit,) = plan.bound.dts(values, faces, [dt], plan.work.a)
+    (limit,) = cfl_dt((grid, values), plan.bound, [dt], faces, plan.work.a)
     if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"CFL violation: dt = {dt:.3e} > {limit:.3e}")
     _euler_update(plan, values, faces, [dt])
@@ -714,9 +722,10 @@ def run_batch(
     d = 2, n = 256, B = 1), freed with the plan, at the latest when the
     run returns.  Done at every step, each stage writing into the work
     area: the half spectrum and the face drift, the bound's one
-    evaluation, the step kernel `_euler_update` (mobility, update,
-    negativity guard and clamp), whose stages loop over the axes, and the
-    dissipation density of the kernel's mobility.  The update is written
+    evaluation (cfl_dt on the plan's bound), the step kernel
+    `_euler_update` (mobility, update, negativity guard and clamp), whose
+    stages loop over the axes, and the dissipation density of the kernel's
+    mobility.  The update is written
     over the batch's state array, and a row of it is copied only when a
     snapshot lands.  A SolverError of the bound or the kernel names its
     row, and the run ends there.
@@ -816,7 +825,7 @@ def run_batch(
 
     every = [cfg.record_every for cfg in cfgs]
     # The active rows' step plan, rebuilt when a member leaves.
-    plan = _step_plan(grid, cfgs)
+    plan = _step_plan(grid, cfgs, eps)
     step_idx = 0
     # The rows whose last scheduled snapshot landed in the step just taken.
     done: list[int] = []
@@ -831,11 +840,11 @@ def run_batch(
                 break
             active = [active[r] for r in keep]
             values, faces = values[keep], tuple(w[keep] for w in faces)
-            plan = _step_plan(grid, [cfgs[i] for i in active])
+            plan = _step_plan(grid, [cfgs[i] for i in active], [eps[i] for i in active])
         gaps = [outputs[i][out_idx[i]] - t[i] for i in active]
         work = plan.work
         try:
-            dts = plan.bound.dts(values, faces, gaps, work.a)
+            dts = cfl_dt((grid, values), plan.bound, gaps, faces, work.a)
             mob = _euler_update(plan, values, faces, dts)
         except SolverError as exc:
             fail(active[exc.member], str(exc))

@@ -215,7 +215,7 @@ class TestStep:
         u = cosine(32)
         values = np.stack([u.values, 1 + 0.9 * (u.values - 1), u.values])
         faces = coulomb_drift(u.grid, half_spectrum(u.grid, values))
-        plan = pde_solver._step_plan(u.grid, [SolverConfig(m=2.0, epsilon=0.0)] * 3)
+        plan = pde_solver._step_plan(u.grid, [SolverConfig(m=2.0, epsilon=0.0)] * 3, [0.0] * 3)
         with pytest.raises(SolverError, match="^negativity beyond roundoff") as exc:
             pde_solver._euler_update(plan, values, faces, [20.0, 1.0, 50.0])
         assert exc.value.member == 2
